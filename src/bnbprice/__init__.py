@@ -6,3 +6,7 @@ writes deterministic evaluation reports.
 """
 
 __version__ = "0.1.0"
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed; the computation cannot be trusted."""

@@ -5,6 +5,7 @@ report.json so a run can be reproduced from its own report.
 """
 
 import json
+import typing
 from dataclasses import dataclass, field, fields
 
 
@@ -67,7 +68,8 @@ class PipelineConfig:
             raise ConfigError("top_n_neighbourhoods must be >= 1")
         if self.min_df < 1 or self.max_terms < 1:
             raise ConfigError("min_df and max_terms must be >= 1")
-        if len(self.split_ratios) != 3 or any(r < 0 for r in self.split_ratios):
+        if (len(self.split_ratios) != 3
+                or not all(_matches(r, float) and r >= 0 for r in self.split_ratios)):
             raise ConfigError("split_ratios must be three non-negative numbers")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ConfigError("split_ratios must sum to 1")
@@ -117,6 +119,21 @@ class PipelineConfig:
         return doc
 
 
+def _matches(value, annotation):
+    """isinstance against a field annotation; ints pass as floats, bools only as bools."""
+    allowed = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
+
+
+def _type_name(annotation):
+    allowed = typing.get_args(annotation) or (annotation,)
+    return " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+
+
 def load_config(path=None, overrides=None):
     """Build a validated PipelineConfig from an optional JSON file plus overrides.
 
@@ -143,6 +160,11 @@ def load_config(path=None, overrides=None):
             if key not in known:
                 raise ConfigError("unknown config key %r" % key)
             merged[key] = value
+    for f in fields(PipelineConfig):
+        if f.name in merged and not _matches(merged[f.name], f.type):
+            raise ConfigError("config field %r must be %s, got %s %r"
+                              % (f.name, _type_name(f.type),
+                                 type(merged[f.name]).__name__, merged[f.name]))
     cfg = PipelineConfig(**merged)
     cfg.validate()
     return cfg

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
+from . import InvariantError, serialize
 from .models import GbdtModel, MlpModel, RidgeModel, model_to_doc
 
 REPORT_SCHEMA_VERSION = 1
@@ -98,7 +98,8 @@ def metrics(y_true, y_pred):
         r2 = 0.0 if sse == 0.0 else float("-inf")
     else:
         r2 = 1.0 - sse / sst
-    assert mae * mae <= mse * (1.0 + 1e-12) + 1e-12
+    if not mae * mae <= mse * (1.0 + 1e-12) + 1e-12:
+        raise InvariantError("MAE^2 %r exceeds MSE %r" % (mae * mae, mse))
     return MetricsReport(mse=mse, mae=mae, r2=r2, n=int(y.size))
 
 

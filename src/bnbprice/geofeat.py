@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InvariantError
+
 EARTH_RADIUS_KM = 6371.0
 
 # reserved category for listings whose neighbourhood field is absent
@@ -39,8 +41,14 @@ def _haversine_matrix(points, centroids):
 
 def _distance_matrix(points, centroids, metric):
     if metric == "euclidean":
-        d = points[:, None, :] - centroids[None, :, :]
-        return np.sqrt(np.sum(d * d, axis=2))
+        # (n, k) planes instead of an (n, k, 2) difference tensor; the
+        # arithmetic, dx*dx + dy*dy then sqrt, is the same bit for bit
+        dx = points[:, 0:1] - centroids[None, :, 0]
+        dy = points[:, 1:2] - centroids[None, :, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
     if metric == "haversine":
         return _haversine_matrix(points, centroids)
     raise ValueError("unknown metric %r" % metric)
@@ -99,8 +107,9 @@ def kmeans_fit(points, k, metric="euclidean", seed=0, max_iter=100, tol=1e-6):
             # distance; a violation would mean the engine is broken
             own = dist[np.arange(n), assign]
             objective = float(np.sum(own * own))
-            assert objective <= prev_objective * (1.0 + 1e-12) + 1e-12, \
-                "k-means objective increased"
+            if not objective <= prev_objective * (1.0 + 1e-12) + 1e-12:
+                raise InvariantError("k-means objective increased from %r to %r"
+                                     % (prev_objective, objective))
             prev_objective = objective
         assign = _repair_empty(assign, dist, k)
         new_centroids = np.empty_like(centroids)
@@ -129,7 +138,8 @@ def _repair_empty(assign, dist, k):
     own = dist[np.arange(len(assign)), assign].copy()
     for j in empties:
         donors = counts[assign] >= 2
-        assert donors.any(), "no donor cluster available"
+        if not donors.any():
+            raise InvariantError("no donor cluster for empty cluster %d" % j)
         cand = np.where(donors, own, -np.inf)
         p = int(np.argmax(cand))
         counts[assign[p]] -= 1

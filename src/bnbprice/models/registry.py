@@ -6,11 +6,25 @@ byte-identically because every float survives the round trip exactly.
 
 import numpy as np
 
+from ..config import MODEL_KINDS
 from .gbdt import GbdtModel, GbdtParams, Tree, gbdt_fit, gbdt_predict
 from .mlp import MlpModel, mlp_fit, mlp_predict
 from .ridge import RidgeModel, ridge_fit, ridge_predict
 
 MODEL_SCHEMA_VERSION = 1
+_NUMBER = (int, float)
+
+
+def _field(doc, key, kind, where="model"):
+    """doc[key] if it is a kind; otherwise a ValueError naming the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError("%s: missing key %r" % (where, key))
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        names = " or ".join(t.__name__ for t in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError("%s: key %r must be %s, got %s"
+                         % (where, key, names, type(value).__name__))
+    return value
 
 
 def _gbdt_params(params):
@@ -115,13 +129,13 @@ def _tree_from_doc(doc):
                 left[parent] = node_id
             else:
                 right[parent] = node_id
-        if "value" in node_doc:
-            value[node_id] = float(node_doc["value"])
+        if isinstance(node_doc, dict) and "value" in node_doc:
+            value[node_id] = _field(node_doc, "value", _NUMBER, "tree node")
         else:
-            feature[node_id] = int(node_doc["feature_index"])
-            threshold[node_id] = float(node_doc["threshold"])
-            stack.append((node_doc["right"], node_id, "R"))
-            stack.append((node_doc["left"], node_id, "L"))
+            feature[node_id] = _field(node_doc, "feature_index", int, "tree node")
+            threshold[node_id] = _field(node_doc, "threshold", _NUMBER, "tree node")
+            stack.append((_field(node_doc, "right", dict, "tree node"), node_id, "R"))
+            stack.append((_field(node_doc, "left", dict, "tree node"), node_id, "L"))
     return Tree(feature, threshold, left, right, value)
 
 
@@ -147,21 +161,32 @@ def model_to_doc(model):
 
 
 def model_from_doc(doc):
+    """Model object from its document; a missing or mistyped key is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("model doc must be a JSON object")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError("unsupported model schema_version %r" % version)
     kind = doc.get("kind")
+    if kind not in MODEL_KINDS:
+        raise ValueError("unknown model kind %r" % kind)
+    p = _field(doc, "params", dict)
+
+    def param(key, param_kind=_NUMBER):
+        return _field(p, key, param_kind, "model params")
+
     if kind == "ridge":
-        return RidgeModel(doc["coefficients"], doc["intercept"], doc["params"]["lambda"])
+        return RidgeModel(_field(doc, "coefficients", list),
+                          _field(doc, "intercept", _NUMBER), param("lambda"))
     if kind == "gbdt":
-        p = doc["params"]
         params = GbdtParams(
-            n_estimators=p["n_estimators"], learning_rate=p["learning_rate"],
-            growth=p["growth"], max_depth=p["max_depth"], num_leaves=p["num_leaves"],
-            min_samples_leaf=p["min_samples_leaf"], alpha=p["alpha"],
-            lam=p["lambda"], min_gain=p["min_gain"])
-        return GbdtModel(doc["base_score"], [_tree_from_doc(t) for t in doc["trees"]],
-                         params, doc["feature_gain"], doc["n_features"])
-    if kind == "mlp":
-        return MlpModel(doc["params"]["layer_sizes"], doc["weights"], doc["biases"])
-    raise ValueError("unknown model kind %r" % kind)
+            n_estimators=param("n_estimators", int), learning_rate=param("learning_rate"),
+            growth=param("growth", str), max_depth=param("max_depth", int),
+            num_leaves=param("num_leaves", int),
+            min_samples_leaf=param("min_samples_leaf", int), alpha=param("alpha"),
+            lam=param("lambda"), min_gain=param("min_gain"))
+        trees = [_tree_from_doc(t) for t in _field(doc, "trees", list)]
+        return GbdtModel(_field(doc, "base_score", _NUMBER), trees, params,
+                         _field(doc, "feature_gain", list), _field(doc, "n_features", int))
+    return MlpModel(param("layer_sizes", list), _field(doc, "weights", list),
+                    _field(doc, "biases", list))

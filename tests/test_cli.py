@@ -211,3 +211,25 @@ def test_failed_emit_cleans_partial_outputs(trained, tmp_path):
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", bogus_key=1)
     assert main(["train", "--config", cfg]) == 2
+
+
+def test_mistyped_config_field_exits_2_with_one_line(tmp_path, caplog):
+    cfg = write_config(tmp_path / "c.json", k_clusters="20", out=str(tmp_path / "o"))
+    assert main(["ingest", "--config", cfg]) == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert len(errors) == 1 and "k_clusters" in errors[0], errors
+    assert "\n" not in errors[0]
+
+
+def test_predict_malformed_model_doc_exits_2(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps({"schema_version": 1, "kind": "ridge"}))
+    code = main(["predict", "--out", str(tmp_path / "p"),
+                 "--pipeline", str(out / "pipeline.json"),
+                 "--model", str(bad),
+                 "--listings", str(tmp / "data" / "listings.csv")])
+    assert code == 2
+    errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert len(errors) == 1 and "missing key 'params'" in errors[0], errors
+    assert not (tmp_path / "p" / "predictions.csv").exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bnbprice import geofeat
+from bnbprice import InvariantError, geofeat
 from conftest import make_listing
 
 
@@ -107,6 +107,32 @@ def test_repair_empty_tie_goes_to_lowest_index():
     dist = np.array([[3.0, 9.0], [3.0, 9.0], [1.0, 9.0], [0.5, 9.0]])
     fixed = geofeat._repair_empty(assign, dist, 2)
     assert fixed.tolist() == [1, 0, 0, 0]
+
+
+def test_repair_empty_without_donor_raises():
+    # one point for two clusters: the only member cannot be handed over
+    with pytest.raises(InvariantError, match="no donor"):
+        geofeat._repair_empty(np.array([0]), np.array([[1.0, 2.0]]), 2)
+
+
+def test_euclidean_distance_matches_difference_tensor_bit_for_bit():
+    def tensor_formula(points, centroids):
+        d = points[:, None, :] - centroids[None, :, :]
+        return np.sqrt(np.sum(d * d, axis=2))
+
+    rng = np.random.RandomState(5)
+    random_pts = rng.uniform(low=(30, -120), high=(34, -116), size=(500, 2))
+    grid = np.round(rng.uniform(0, 3, size=(300, 2)))  # many ties and duplicates
+    cases = [(random_pts, random_pts[rng.choice(500, 40, replace=False)]),
+             (random_pts, rng.randn(7, 2) * 1e-9 + 32.0),
+             (grid, grid[:25]),
+             (grid, np.array([[1.0, 1.0], [1.0, 1.0], [-0.0, 0.0]])),
+             (np.array([[1.5, -2.5]]), np.array([[1.5, -2.5]]))]
+    for points, centroids in cases:
+        got = geofeat._distance_matrix(points, centroids, "euclidean")
+        want = tensor_formula(points, centroids)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_assign_cluster_matches_assign_all():

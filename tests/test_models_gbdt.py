@@ -1,6 +1,12 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bnbprice import InvariantError
 from bnbprice.models import gbdt
 from bnbprice.models.registry import model_from_doc, model_to_doc
 from bnbprice.serialize import dumps
@@ -49,6 +55,103 @@ def brute_force_split(rows, X, r, params):
     if best is None or not best[2] > params.min_gain:
         return None
     return best
+
+
+def reference_fit(X, y, params):
+    """Boosting by brute_force_split on explicit row lists, no engine code.
+
+    Row lists stay in ascending row order, so rows tied on a feature sum
+    in the same order as the engine's stable presort. Leaf sums are
+    np.sum over the leaf's rows in feature-0 order, like the engine's.
+    """
+    n, m = X.shape
+    base = float(y.mean())
+    pred = np.full(n, base)
+    feature_gain = np.zeros(m)
+    trees = []
+    for _ in range(params.n_estimators):
+        r = y - pred
+        nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+        leaves = []
+
+        def new_node():
+            for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                               ("right", -1), ("value", 0.0)):
+                nodes[key].append(blank)
+            return len(nodes["feature"]) - 1
+
+        def split(node_id, rows, hit):
+            f, thr, gain = hit
+            feature_gain[f] += gain
+            nodes["feature"][node_id] = f
+            nodes["threshold"][node_id] = thr
+            left_id, right_id = new_node(), new_node()
+            nodes["left"][node_id] = left_id
+            nodes["right"][node_id] = right_id
+            return ((left_id, [i for i in rows if X[i, f] <= thr]),
+                    (right_id, [i for i in rows if X[i, f] > thr]))
+
+        root = (new_node(), list(range(n)))
+        if params.growth == "depth_wise":
+            level = [root]
+            for _ in range(params.max_depth):
+                next_level = []
+                for node_id, rows in level:
+                    hit = brute_force_split(rows, X, r, params)
+                    if hit is None:
+                        leaves.append((node_id, rows))
+                    else:
+                        next_level.extend(split(node_id, rows, hit))
+                level = next_level
+            leaves.extend(level)
+        else:
+            heap = []
+            tick = 0
+            pending = [root]
+            n_leaves = 1
+            while True:
+                for node_id, rows in pending:
+                    hit = brute_force_split(rows, X, r, params)
+                    if hit is None:
+                        leaves.append((node_id, rows))
+                    else:
+                        heapq.heappush(heap, (-hit[2], tick, node_id, rows, hit))
+                        tick += 1
+                if not heap or n_leaves >= params.num_leaves:
+                    break
+                _, _, node_id, rows, hit = heapq.heappop(heap)
+                pending = split(node_id, rows, hit)
+                n_leaves += 1
+            leaves.extend((node_id, rows) for _, _, node_id, rows, _ in heap)
+
+        update = np.zeros(n)
+        for node_id, rows in leaves:
+            total = float(np.sum(r[sorted(rows, key=lambda i: X[i, 0])]))
+            magnitude = abs(total) - params.alpha
+            value = 0.0 if magnitude <= 0.0 else \
+                math.copysign(magnitude, total) / (len(rows) + params.lam)
+            nodes["value"][node_id] = value
+            update[rows] = value
+        trees.append(gbdt.Tree(**nodes))
+        pred = pred + params.learning_rate * update
+    return gbdt.GbdtModel(base, trees, params, feature_gain, m)
+
+
+def duplicate_heavy(rng, n, m):
+    """Columns of 1-5 distinct values, some rounded normals, some copies.
+
+    A copied column prices every split exactly like its source, so the
+    tie-break to the lower feature index is exercised.
+    """
+    X = np.empty((n, m))
+    for j in range(m):
+        if j and rng.rand() < 0.25:
+            X[:, j] = X[:, rng.randint(j)]
+        elif rng.rand() < 0.25:
+            X[:, j] = np.round(rng.randn(n), 1)
+        else:
+            X[:, j] = rng.randint(0, rng.randint(1, 6), size=n).astype(float)
+    return X
 
 
 def test_single_round_hand_trace():
@@ -246,3 +349,51 @@ def test_fit_twice_same_serialized_bytes():
     a = gbdt.gbdt_fit(X, y, params)
     b = gbdt.gbdt_fit(X, y, params)
     assert dumps(model_to_doc(a)) == dumps(model_to_doc(b))
+
+
+@pytest.mark.parametrize("growth", ["depth_wise", "leaf_wise"])
+@pytest.mark.parametrize("min_samples_leaf", [1, 5, 20])
+def test_whole_trees_match_reference_grower(growth, min_samples_leaf):
+    rng = np.random.RandomState(11 + min_samples_leaf)
+    for trial in range(3):
+        n = int(rng.randint(40, 140))
+        X = duplicate_heavy(rng, n, int(rng.randint(1, 5)))
+        y = X @ rng.randn(X.shape[1]) + 0.3 * rng.randn(n)
+        if trial == 2:
+            y = np.round(y, 1)
+        params = gbdt.GbdtParams(
+            n_estimators=4, learning_rate=0.3, growth=growth, max_depth=3,
+            num_leaves=6, min_samples_leaf=min_samples_leaf,
+            alpha=float(rng.choice([0.0, 0.2])), lam=float(rng.choice([0.0, 1.0])),
+            min_gain=float(rng.choice([0.0, 0.05])))
+        want = dumps(model_to_doc(reference_fit(X, y, params)))
+        got = gbdt.gbdt_fit(X, y, params)
+        assert dumps(model_to_doc(got)) == want, (growth, min_samples_leaf, trial)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), m=st.integers(1, 5),
+       min_samples_leaf=st.sampled_from([1, 2, 5, 20, 200]),
+       lam=st.sampled_from([0.0, 0.5, 1.0]), min_gain=st.sampled_from([0.0, 0.1]),
+       rounded=st.booleans())
+def test_split_matches_brute_force_on_duplicate_heavy_columns(
+        seed, n, m, min_samples_leaf, lam, min_gain, rounded):
+    rng = np.random.RandomState(seed)
+    X = duplicate_heavy(rng, n, m)
+    r = rng.randn(n)
+    if rounded:
+        r = np.round(r, 2)
+    params = gbdt.GbdtParams(n_estimators=1, learning_rate=1.0, max_depth=1,
+                             min_samples_leaf=min_samples_leaf, alpha=0.0,
+                             lam=lam, min_gain=min_gain)
+    rows = sorted(rng.choice(n, size=int(rng.randint(1, n + 1)), replace=False).tolist())
+    assert gbdt.find_best_split(rows, X, r, params) == brute_force_split(rows, X, r, params)
+
+
+def test_training_mse_check_survives_python_O(monkeypatch):
+    # a leaf that overshoots by a million must trip the check, which is
+    # a raise, not an assert, so it also runs under python -O
+    monkeypatch.setattr(gbdt, "_leaf_value", lambda I, r, params: 1e6)
+    with pytest.raises(InvariantError, match="training MSE increased"):
+        gbdt.gbdt_fit(HAND_X, HAND_Y, hand_params())
+    assert issubclass(InvariantError, RuntimeError)
