@@ -14,9 +14,7 @@ import numpy as np
 
 from . import evalreport, geofeat, ingest, serialize, synth, transform
 from .config import ConfigError, load_config
-from .models import (GbdtModel, MlpModel, RidgeModel, fit_model,
-                     grid_search, model_from_doc, predict_model,
-                     resolve_params)
+from .models import fit_model, grid_search, model_from_doc, params_from_entry, predict_model
 from .textfeat import load_lexicon, load_stopwords
 
 log = logging.getLogger("bnbprice")
@@ -41,6 +39,16 @@ def _discard(outputs):
 
 def _load_cfg(args):
     return load_config(args.config, {"out": args.out, "seed": args.seed})
+
+
+def _load_doc(path, from_doc, what):
+    """from_doc of a JSON file; an unreadable or malformed file is a CliError naming it."""
+    try:
+        return from_doc(serialize.load_file(path))
+    except (OSError, ValueError) as exc:
+        raise CliError("cannot load %s %s: %s" % (what, path, exc))
+    except (KeyError, IndexError, TypeError) as exc:  # below the checked top-level keys
+        raise CliError("cannot load %s %s: %s %s" % (what, path, type(exc).__name__, exc))
 
 
 def _read_csv(path, parse, *extra):
@@ -115,16 +123,13 @@ def _fit_entry(cfg, index, entry, mat_train, mat_val, grid_docs):
     else:
         model = fit_model(kind, params, mat_train.values, mat_train.target,
                           seed=cfg.seed)
-    return kind, resolve_params(kind, params), model
+    return kind, serialize.dataclass_to_doc(params_from_entry(kind, params)), model
 
 
 def cmd_train(args):
     cfg = _load_cfg(args)
     dataset_path = Path(cfg.dataset) if cfg.dataset else Path(cfg.out) / "dataset.json"
-    try:
-        dataset = ingest.dataset_from_doc(serialize.load_file(dataset_path))
-    except OSError as exc:
-        raise CliError("cannot read dataset %s: %s" % (dataset_path, exc))
+    dataset = _load_doc(dataset_path, ingest.dataset_from_doc, "dataset")
     lexicon = load_lexicon(cfg.lexicon or synth.default_lexicon_path())
     stopwords = load_stopwords(cfg.stopwords or synth.default_stopwords_path())
 
@@ -157,7 +162,7 @@ def cmd_train(args):
         "n_features": len(fitted.columns),
     }
     results = evalreport.RunResults(
-        config_doc=cfg.to_doc(),
+        config_doc=serialize.dataclass_to_doc(cfg),
         dataset_summary=summary,
         split=split,
         columns=tuple(c.name for c in fitted.columns),
@@ -188,27 +193,11 @@ def cmd_train(args):
     return 0
 
 
-def _model_width(model):
-    if isinstance(model, RidgeModel):
-        return model.coefficients.shape[0]
-    if isinstance(model, GbdtModel):
-        return model.n_features
-    if isinstance(model, MlpModel):
-        return model.layer_sizes[0]
-    raise CliError("unsupported model object %r" % type(model))
-
-
 def cmd_predict(args):
     out_dir = Path(args.out) if args.out else Path("out")
     pipeline_path = args.pipeline or out_dir / "pipeline.json"
-    try:
-        fitted = transform.pipeline_from_doc(serialize.load_file(pipeline_path))
-    except OSError as exc:
-        raise CliError("cannot read pipeline %s: %s" % (pipeline_path, exc))
-    try:
-        model = model_from_doc(serialize.load_file(args.model))
-    except OSError as exc:
-        raise CliError("cannot read model %s: %s" % (args.model, exc))
+    fitted = _load_doc(pipeline_path, transform.pipeline_from_doc, "pipeline")
+    model = _load_doc(args.model, model_from_doc, "model")
 
     listings, ldrops = _read_csv(args.listings, ingest.parse_listings, "predict")
     reviews = []
@@ -218,9 +207,6 @@ def cmd_predict(args):
             ldrops[reason] = ldrops.get(reason, 0) + count
     dataset = ingest.join_dataset(listings, reviews, ldrops)
     matrix = transform.assemble_matrix(dataset, range(len(dataset.listings)), fitted)
-    if _model_width(model) != matrix.values.shape[1]:
-        raise CliError("model expects %d features but the pipeline produced %d"
-                       % (_model_width(model), matrix.values.shape[1]))
     pred = predict_model(model, matrix.values)
     if sum(ldrops.values()):
         log.info("skipped %d unusable input rows", sum(ldrops.values()))

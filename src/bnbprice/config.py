@@ -5,8 +5,10 @@ report.json so a run can be reproduced from its own report.
 """
 
 import json
-import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+
+from .models.registry import params_from_entry
+from .serialize import dataclass_from_doc
 
 
 class ConfigError(ValueError):
@@ -25,14 +27,6 @@ DEFAULT_ROOM_TYPES = ["Shared room", "Private room", "Hotel room", "Entire home/
 
 SCALER_KINDS = ("minmax", "standard", "robust")
 GEO_METRICS = ("euclidean", "haversine")
-MODEL_KINDS = ("ridge", "gbdt", "mlp")
-
-_MODEL_PARAM_KEYS = {
-    "ridge": {"lambda"},
-    "gbdt": {"growth", "n_estimators", "learning_rate", "max_depth", "num_leaves",
-             "min_samples_leaf", "alpha", "lambda", "min_gain"},
-    "mlp": {"hidden_sizes", "epochs", "batch_size", "step_size"},
-}
 
 
 @dataclass
@@ -51,7 +45,7 @@ class PipelineConfig:
     max_terms: int = 500
     scaler_map: dict = field(default_factory=lambda: dict(DEFAULT_SCALER_MAP))
     room_type_levels: list = field(default_factory=lambda: list(DEFAULT_ROOM_TYPES))
-    split_ratios: list = field(default_factory=lambda: [0.8, 0.1, 0.1])
+    split_ratios: list[float] = field(default_factory=lambda: [0.8, 0.1, 0.1])
     seed: int = 0
     models: list = field(default_factory=lambda: [{"kind": "gbdt", "growth": "leaf_wise"}])
     grid: dict | None = None                    # {"model": index, "params": {name: [values]}}
@@ -68,8 +62,7 @@ class PipelineConfig:
             raise ConfigError("top_n_neighbourhoods must be >= 1")
         if self.min_df < 1 or self.max_terms < 1:
             raise ConfigError("min_df and max_terms must be >= 1")
-        if (len(self.split_ratios) != 3
-                or not all(_matches(r, float) and r >= 0 for r in self.split_ratios)):
+        if len(self.split_ratios) != 3 or min(self.split_ratios) < 0:
             raise ConfigError("split_ratios must be three non-negative numbers")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ConfigError("split_ratios must sum to 1")
@@ -79,21 +72,13 @@ class PipelineConfig:
         if not isinstance(self.models, list) or not self.models:
             raise ConfigError("models must be a non-empty list")
         for entry in self.models:
-            self._validate_model_entry(entry)
+            if not isinstance(entry, dict) or "kind" not in entry:
+                raise ConfigError("each models entry needs a 'kind'")
+            params_from_entry(entry["kind"], {k: v for k, v in entry.items() if k != "kind"})
         if self.grid is not None:
             self._validate_grid()
         if self.importance_top_n < 1:
             raise ConfigError("importance_top_n must be >= 1")
-
-    def _validate_model_entry(self, entry):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError("each models entry needs a 'kind'")
-        kind = entry["kind"]
-        if kind not in MODEL_KINDS:
-            raise ConfigError("unknown model kind %r" % kind)
-        unknown = set(entry) - _MODEL_PARAM_KEYS[kind] - {"kind"}
-        if unknown:
-            raise ConfigError("unknown %s parameter(s): %s" % (kind, ", ".join(sorted(unknown))))
 
     def _validate_grid(self):
         if not isinstance(self.grid, dict) or "params" not in self.grid:
@@ -106,32 +91,10 @@ class PipelineConfig:
         if not isinstance(params, dict) or not params:
             raise ConfigError("grid.params must be a non-empty mapping")
         for name, values in params.items():
-            if name not in _MODEL_PARAM_KEYS[kind]:
-                raise ConfigError("grid parameter %r not valid for %s" % (name, kind))
             if not isinstance(values, list) or not values:
                 raise ConfigError("grid parameter %r needs a non-empty value list" % name)
-
-    def to_doc(self):
-        """Serializable echo of the effective configuration."""
-        doc = {}
-        for f in fields(self):
-            doc[f.name] = getattr(self, f.name)
-        return doc
-
-
-def _matches(value, annotation):
-    """isinstance against a field annotation; ints pass as floats, bools only as bools."""
-    allowed = typing.get_args(annotation) or (annotation,)
-    if isinstance(value, bool):
-        return bool in allowed
-    if isinstance(value, int) and float in allowed:
-        return True
-    return isinstance(value, allowed)
-
-
-def _type_name(annotation):
-    allowed = typing.get_args(annotation) or (annotation,)
-    return " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            for value in values:
+                params_from_entry(kind, {name: value})
 
 
 def load_config(path=None, overrides=None):
@@ -150,21 +113,13 @@ def load_config(path=None, overrides=None):
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
     merged = dict(doc)
     for key, value in (overrides or {}).items():
         if value is not None:
-            if key not in known:
-                raise ConfigError("unknown config key %r" % key)
             merged[key] = value
-    for f in fields(PipelineConfig):
-        if f.name in merged and not _matches(merged[f.name], f.type):
-            raise ConfigError("config field %r must be %s, got %s %r"
-                              % (f.name, _type_name(f.type),
-                                 type(merged[f.name]).__name__, merged[f.name]))
-    cfg = PipelineConfig(**merged)
-    cfg.validate()
+    try:
+        cfg = dataclass_from_doc(PipelineConfig, merged, "config")
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     return cfg

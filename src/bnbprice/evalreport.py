@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import InvariantError, serialize
-from .models import GbdtModel, MlpModel, RidgeModel, model_to_doc
+from .models import KINDS, kind_of, model_to_doc
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -118,14 +118,7 @@ def feature_importance(model, columns):
     weight| feeding each input. Ties keep column order.
     """
     columns = list(columns)
-    if isinstance(model, GbdtModel):
-        scores = np.asarray(model.feature_gain, dtype=float)
-    elif isinstance(model, RidgeModel):
-        scores = np.abs(np.asarray(model.coefficients, dtype=float))
-    elif isinstance(model, MlpModel):
-        scores = np.sum(np.abs(model.weights[0]), axis=1)
-    else:
-        raise ValueError("cannot rank importance for %r" % type(model))
+    scores = KINDS[kind_of(model)].importance(model)
     if scores.shape[0] != len(columns):
         raise ValueError("model has %d features, got %d column names"
                          % (scores.shape[0], len(columns)))

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from datetime import date
 
+from .serialize import field
+
 
 class IngestError(ValueError):
     """Fatal ingest problem: bad header, duplicate ids, unreadable input."""
@@ -276,7 +278,7 @@ def dataset_to_doc(dataset):
 
 
 def dataset_from_doc(doc):
-    version = doc.get("schema_version")
+    version = field(doc, "schema_version", int, "dataset")
     if version != 1:
         raise IngestError("unsupported dataset schema_version %r" % version)
     listings = tuple(
@@ -288,13 +290,13 @@ def dataset_from_doc(doc):
             neighbourhood=row[10], room_type=row[11], bedrooms=row[12],
             description=row[13],
         )
-        for row in doc["listings"]
+        for row in field(doc, "listings", list, "dataset")
     )
     reviews = {
         int(lid): tuple(ReviewRecord(listing_id=int(lid), review_id=rv[0],
                                      date=date.fromisoformat(rv[1]), comments=rv[2])
                         for rv in rvs)
-        for lid, rvs in doc["reviews"].items()
+        for lid, rvs in field(doc, "reviews", dict, "dataset").items()
     }
     return Dataset(listings=listings, reviews_by_listing=reviews,
-                   drop_log=dict(doc["drop_log"]))
+                   drop_log=dict(field(doc, "drop_log", dict, "dataset")))

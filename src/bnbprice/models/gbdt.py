@@ -34,7 +34,7 @@ row 0 of their block, the feature-0 order their leaf sums use.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class GbdtParams:
     num_leaves: int = 31
     min_samples_leaf: int = 20
     alpha: float = 0.5
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"json": "lambda"})
     min_gain: float = 0.0
 
     def validate(self):
@@ -155,7 +155,10 @@ def _eval_node(I, XT, r, params, candidates=None):
         return None
     f = int(features[k])
     i = int(positions[k])
-    threshold = (XT[f, I[f, i]] + XT[f, I[f, i + 1]]) / 2.0
+    a, b = XT[f, I[f, i]], XT[f, I[f, i + 1]]
+    threshold = (a + b) / 2.0
+    if not threshold < b:  # the midpoint of adjacent doubles can round up to b
+        threshold = a
     return best, f, threshold, i + 1
 
 
@@ -268,10 +271,8 @@ def _grow_leaf_wise(scan, I_root, params, feature_gain, n_rows):
     return b, leaves
 
 
-def gbdt_fit(X, y, params=None):
+def gbdt_fit(X, y, params):
     """Boost params.n_estimators trees against squared-error residuals."""
-    if params is None:
-        params = GbdtParams()
     params.validate()
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -335,8 +336,8 @@ def find_best_split(node_rows, X, residuals, params):
     """Best (feature, threshold, gain) over an arbitrary row subset, or None.
 
     Candidate thresholds are midpoints between adjacent distinct sorted
-    feature values; splits must satisfy min_samples_leaf on both sides
-    and exceed min_gain strictly.
+    feature values a < b (a where the midpoint rounds up to b); splits
+    must satisfy min_samples_leaf on both sides and exceed min_gain strictly.
     """
     rows = np.asarray(node_rows, dtype=np.int64)
     if rows.size == 0:

@@ -7,8 +7,17 @@ the same generator, so a seed fixes the whole run.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class MlpParams:
+    hidden_sizes: list[int] = field(default_factory=lambda: [64, 32])
+    epochs: int = 200
+    batch_size: int = 256
+    step_size: float = 1e-3
 
 
 class MlpModel:
@@ -53,14 +62,12 @@ def loss_and_grads(weights, biases, X, y):
     return loss, grad_w, grad_b
 
 
-def mlp_fit(X, y, layer_sizes=None, epochs=200, batch_size=256, step_size=1e-3,
-            seed=0, momentum=0.9):
+def mlp_fit(X, y, layer_sizes, epochs=MlpParams.epochs, batch_size=MlpParams.batch_size,
+            step_size=MlpParams.step_size, seed=0, momentum=0.9):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise ValueError("X must be (n, m) with one target per row")
-    if layer_sizes is None:
-        layer_sizes = (X.shape[1], 64, 32, 1)
     layer_sizes = tuple(int(s) for s in layer_sizes)
     if len(layer_sizes) < 2:
         raise ValueError("need at least an input and an output layer")

@@ -6,12 +6,18 @@ Cholesky factorization, then c = ybar - xbar . w.
 """
 
 import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 LAMBDA_FLOOR = 1e-10
+
+
+@dataclass(frozen=True)
+class RidgeParams:
+    lam: float = field(default=1.0, metadata={"json": "lambda"})
 
 
 class RidgeModel:

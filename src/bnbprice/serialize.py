@@ -1,4 +1,4 @@
-"""Deterministic JSON writing.
+"""Deterministic JSON writing, and reading checked against type annotations.
 
 Every artifact file (dataset, pipeline, models, report) goes through
 dumps/dump_file so that equal in-memory values always produce equal
@@ -6,8 +6,11 @@ bytes. Floats are rendered with 17 significant digits, which json.loads
 parses back to the exact same double, and dict insertion order is kept.
 """
 
+import dataclasses
 import json
 import math
+import reprlib
+import typing
 
 import numpy as np
 
@@ -82,3 +85,63 @@ def dump_file(value, path):
 def load_file(path):
     with open(path, "rb") as fh:
         return json.loads(fh.read().decode("utf-8"))
+
+
+def _matches(value, annotation):
+    """isinstance against a type annotation; ints pass as floats, bools only as bools."""
+    if typing.get_origin(annotation) is list:
+        item = typing.get_args(annotation)[0]
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    allowed = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
+
+
+def _type_name(annotation):
+    if typing.get_origin(annotation) is list:
+        return "list of " + _type_name(typing.get_args(annotation)[0])
+    allowed = typing.get_args(annotation) or (annotation,)
+    return " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+
+
+def field(doc, key, annotation, where):
+    """doc[key] if it matches annotation; otherwise a ValueError naming where and the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError("%s: missing key %r" % (where, key))
+    value = doc[key]
+    # the exact-type test spares the common case a call: model files check every tree node
+    if type(value) is not annotation and not _matches(value, annotation):
+        raise ValueError("%s: key %r must be %s, got %s %s" % (
+            where, key, _type_name(annotation), type(value).__name__, reprlib.repr(value)))
+    return value
+
+
+def _json_key(f):
+    return f.metadata.get("json", f.name)
+
+
+def dataclass_from_doc(cls, doc, where, required=False):
+    """cls from a JSON object whose keys are its fields' metadata["json"] or names.
+
+    Absent keys take the defaults unless required; an unknown, missing or
+    mistyped key is a ValueError naming where and the key. Ints given for
+    float fields become floats.
+    """
+    by_key = {_json_key(f): f for f in dataclasses.fields(cls)}
+    unknown = [key for key in doc if key not in by_key]
+    if unknown:
+        raise ValueError("%s: unknown key %r" % (where, unknown[0]))
+    values = {}
+    for key, f in by_key.items():
+        if required or key in doc:
+            value = field(doc, key, f.type, where)
+            values[f.name] = float(value) if f.type is float else value
+    return cls(**values)
+
+
+def dataclass_to_doc(obj):
+    """obj's fields as a JSON object in field order, as dataclass_from_doc reads it."""
+    return {_json_key(f): getattr(obj, f.name) for f in dataclasses.fields(obj)}

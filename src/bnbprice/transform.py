@@ -13,6 +13,7 @@ from datetime import date
 import numpy as np
 
 from . import geofeat, textfeat
+from .serialize import field
 
 
 class AssemblyError(ValueError):
@@ -324,32 +325,30 @@ def pipeline_to_doc(fp):
 
 
 def pipeline_from_doc(doc):
-    version = doc.get("schema_version")
+    def part(key, annotation=dict):
+        return field(doc, key, annotation, "pipeline")
+
+    version = part("schema_version", int)
     if version != PIPELINE_SCHEMA_VERSION:
         raise ValueError("unsupported pipeline schema_version %r" % version)
-    vocab = textfeat.Vocabulary(doc["vocab"]["terms"], doc["vocab"]["idf"],
-                                doc["vocab"]["doc_count"])
-    direction = textfeat.DescriptionDirection(doc["direction"]["weights"],
-                                              doc["direction"]["norm"])
-    clusters = geofeat.ClusterModel(
-        centroids=np.asarray(doc["clusters"]["centroids"], dtype=float),
-        metric=doc["clusters"]["metric"], k=doc["clusters"]["k"],
-        seed=doc["clusters"]["seed"],
-        iterations_run=doc["clusters"]["iterations_run"])
-    neighbourhoods = geofeat.NeighbourhoodStats(
-        categories=tuple(doc["neighbourhoods"]["categories"]),
-        counts=dict(doc["neighbourhoods"]["counts"]))
+    vocab, direction, clusters = part("vocab"), part("direction"), part("clusters")
+    neighbourhoods = part("neighbourhoods")
     return FittedPipeline(
         schema_version=version,
-        lexicon=textfeat.lexicon_from_entries(doc["lexicon"]["entries"]),
-        vocab=vocab,
-        direction=direction,
-        clusters=clusters,
-        neighbourhoods=neighbourhoods,
+        lexicon=textfeat.lexicon_from_entries(part("lexicon")["entries"]),
+        vocab=textfeat.Vocabulary(vocab["terms"], vocab["idf"], vocab["doc_count"]),
+        direction=textfeat.DescriptionDirection(direction["weights"], direction["norm"]),
+        clusters=geofeat.ClusterModel(
+            centroids=np.asarray(clusters["centroids"], dtype=float),
+            metric=clusters["metric"], k=clusters["k"], seed=clusters["seed"],
+            iterations_run=clusters["iterations_run"]),
+        neighbourhoods=geofeat.NeighbourhoodStats(
+            categories=tuple(neighbourhoods["categories"]),
+            counts=dict(neighbourhoods["counts"])),
         scalers={name: ScalerParams(p["kind"], p["a"], p["b"])
-                 for name, p in doc["scalers"].items()},
-        medians=dict(doc["medians"]),
-        room_type_levels=tuple(doc["room_type_levels"]),
-        snapshot_date=date.fromisoformat(doc["snapshot_date"]),
-        columns=tuple(ColumnMeta(c["name"], c["source"]) for c in doc["columns"]),
+                 for name, p in part("scalers").items()},
+        medians=dict(part("medians")),
+        room_type_levels=tuple(part("room_type_levels", list)),
+        snapshot_date=date.fromisoformat(part("snapshot_date", str)),
+        columns=tuple(ColumnMeta(c["name"], c["source"]) for c in part("columns", list)),
     )

@@ -233,3 +233,79 @@ def test_predict_malformed_model_doc_exits_2(trained, tmp_path, caplog):
     errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
     assert len(errors) == 1 and "missing key 'params'" in errors[0], errors
     assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def error_lines(caplog):
+    return [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+
+
+@pytest.mark.parametrize("entry,kind,key", [
+    ({"kind": "gbdt", "n_estimators": True, "max_depth": 2.9}, "gbdt", "n_estimators"),
+    ({"kind": "ridge", "lambda": "2"}, "ridge", "lambda"),
+    ({"kind": "mlp", "hidden_sizes": [4.7]}, "mlp", "hidden_sizes"),
+])
+def test_mistyped_model_param_exits_2_with_one_line(trained, tmp_path, caplog, entry, kind, key):
+    tmp, out, config = trained
+    cfg = write_config(tmp_path / "c.json", dataset=str(out / "dataset.json"),
+                       out=str(tmp_path / "o"), models=[entry])
+    assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "%s params: key %r" % (kind, key) in errors[0], errors
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_mistyped_grid_value_exits_2_with_one_line(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    cfg = write_config(tmp_path / "c.json", dataset=str(out / "dataset.json"),
+                       out=str(tmp_path / "o"), models=[{"kind": "ridge"}],
+                       grid={"params": {"lambda": [0.1, "10"]}})
+    assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "ridge params: key 'lambda'" in errors[0], errors
+
+
+def drop_key(key):
+    return lambda doc: doc.pop(key)
+
+
+def truncate_first_listing(doc):
+    doc["listings"][0] = doc["listings"][0][:5]
+
+
+@pytest.mark.parametrize("spoil,expected", [
+    (drop_key("drop_log"), "missing key 'drop_log'"),
+    (truncate_first_listing, "IndexError"),
+])
+def test_malformed_dataset_exits_2_naming_the_file(trained, tmp_path, caplog, spoil, expected):
+    tmp, out, config = trained
+    doc = load_file(out / "dataset.json")
+    spoil(doc)
+    bad = tmp_path / "dataset.json"
+    bad.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "c.json", dataset=str(bad), out=str(tmp_path / "o"))
+    assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
+
+
+def drop_vocab_terms(doc):
+    del doc["vocab"]["terms"]
+
+
+@pytest.mark.parametrize("spoil,expected", [
+    (drop_key("vocab"), "missing key 'vocab'"),
+    (drop_vocab_terms, "KeyError 'terms'"),
+])
+def test_malformed_pipeline_exits_2_naming_the_file(trained, tmp_path, caplog, spoil, expected):
+    tmp, out, config = trained
+    doc = load_file(out / "pipeline.json")
+    spoil(doc)
+    bad = tmp_path / "pipeline.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["predict", "--out", str(tmp_path / "p"), "--pipeline", str(bad),
+                 "--model", str(out / "model_0_ridge.json"),
+                 "--listings", str(tmp / "data" / "listings.csv")])
+    assert code == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
+    assert not (tmp_path / "p" / "predictions.csv").exists()

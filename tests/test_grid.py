@@ -91,3 +91,10 @@ def test_base_params_do_not_leak_into_best():
         base_params={"n_estimators": 4, "min_samples_leaf": 5, "alpha": 0.0})
     assert best == {"max_depth": 2}
     assert model.params.n_estimators == 4
+
+
+def test_mistyped_cell_is_recorded_as_failed():
+    train, val = linear_split()
+    best, cells, _ = grid_search("ridge", {"lambda": ["2", 1.0]}, train, val)
+    assert best == {"lambda": 1.0}
+    assert cells[0] == {"params": {"lambda": "2"}, "val_mse": None, "status": "failed"}

@@ -49,7 +49,10 @@ def brute_force_split(rows, X, r, params):
                 continue
             sr = total - sl
             gain = sl * sl / (nl + lam) + sr * sr / (nr + lam) - parent
-            thr = (X[ordered[pos], f] + X[ordered[pos + 1], f]) / 2.0
+            a, b = X[ordered[pos], f], X[ordered[pos + 1], f]
+            thr = (a + b) / 2.0
+            if not thr < b:
+                thr = a
             if best is None or gain > best[2] or (gain == best[2] and (f, thr) < best[:2]):
                 best = (f, thr, gain)
     if best is None or not best[2] > params.min_gain:
@@ -397,3 +400,16 @@ def test_training_mse_check_survives_python_O(monkeypatch):
     with pytest.raises(InvariantError, match="training MSE increased"):
         gbdt.gbdt_fit(HAND_X, HAND_Y, hand_params())
     assert issubclass(InvariantError, RuntimeError)
+
+
+def test_threshold_between_adjacent_doubles_routes_like_training():
+    # (a + b) / 2 of adjacent doubles rounds up to b; the threshold must stay
+    # below b so that predict sends the b rows right, as training did
+    a = math.nextafter(1.0, 0.0)
+    X = np.array([[a], [a], [1.0], [1.0]])
+    model = gbdt.gbdt_fit(X, HAND_Y, hand_params())
+    assert model.train_mse == [0.0]
+    assert model.trees[0].threshold[0] == a
+    assert np.array_equal(gbdt.gbdt_predict(model, X), HAND_Y)
+    assert gbdt.find_best_split([0, 1, 2, 3], X, HAND_Y - 5.0, hand_params()) == \
+        brute_force_split([0, 1, 2, 3], X, HAND_Y - 5.0, hand_params())
