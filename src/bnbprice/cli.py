@@ -5,9 +5,9 @@ partial outputs of the failing command are removed and the code is 2.
 """
 
 import argparse
+import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +51,10 @@ def _load_doc(path, from_doc, what):
         raise CliError("cannot load %s %s: %s %s" % (what, path, type(exc).__name__, exc))
 
 
-def _read_csv(path, parse, *extra):
+def _read_csv(path, parse, *extra, **options):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return parse(fh, *extra)
+            return parse(fh, *extra, **options)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
 
@@ -67,31 +67,16 @@ def cmd_ingest(args):
         if not isinstance(paths, dict) or "listings" not in paths or "reviews" not in paths:
             raise CliError("city %r needs listings and reviews paths" % label)
 
-    def one_city(item):
-        label, paths = item
-        listings, ldrops = _read_csv(paths["listings"], ingest.parse_listings, label)
-        reviews, rdrops = _read_csv(paths["reviews"], ingest.parse_reviews)
-        return listings, reviews, ldrops, rdrops
-
-    pairs = list(cfg.cities.items())
-    if args.threads > 1:
-        # results come back in submission order, so the merged dataset is
-        # identical at any thread count
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one_city, pairs))
-    else:
-        results = [one_city(p) for p in pairs]
-
     all_listings = []
     all_reviews = []
-    drops = {}
-    for listings, reviews, ldrops, rdrops in results:
-        all_listings.extend(listings)
-        all_reviews.extend(reviews)
-        for table in (ldrops, rdrops):
-            for reason, count in table.items():
-                drops[reason] = drops.get(reason, 0) + count
-    dataset = ingest.join_dataset(all_listings, all_reviews, drops)
+    drops = []
+    for label, paths in cfg.cities.items():
+        listings, ldrops = _read_csv(paths["listings"], ingest.parse_listings, label)
+        reviews, rdrops = _read_csv(paths["reviews"], ingest.parse_reviews)
+        all_listings += listings
+        all_reviews += reviews
+        drops += ldrops + rdrops
+    dataset = ingest.join_dataset(all_listings, all_reviews, ingest.tally(drops))
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -105,7 +90,7 @@ def cmd_ingest(args):
         raise
     n_reviews = sum(len(v) for v in dataset.reviews_by_listing.values())
     log.info("ingested %d listings and %d reviews from %d city file pairs (%d rows dropped)",
-             len(dataset.listings), n_reviews, len(pairs),
+             len(dataset.listings), n_reviews, len(cfg.cities),
              sum(dataset.drop_log.values()))
     return 0
 
@@ -165,7 +150,7 @@ def cmd_train(args):
         config_doc=serialize.dataclass_to_doc(cfg),
         dataset_summary=summary,
         split=split,
-        columns=tuple(c.name for c in fitted.columns),
+        columns=fitted.columns,
         models=tuple(model_results),
         grid=tuple(grid_docs),
         pipeline_doc=transform.pipeline_to_doc(fitted),
@@ -199,17 +184,16 @@ def cmd_predict(args):
     fitted = _load_doc(pipeline_path, transform.pipeline_from_doc, "pipeline")
     model = _load_doc(args.model, model_from_doc, "model")
 
-    listings, ldrops = _read_csv(args.listings, ingest.parse_listings, "predict")
-    reviews = []
-    if args.reviews:
-        reviews, rdrops = _read_csv(args.reviews, ingest.parse_reviews)
-        for reason, count in rdrops.items():
-            ldrops[reason] = ldrops.get(reason, 0) + count
-    dataset = ingest.join_dataset(listings, reviews, ldrops)
+    listings, drops = _read_csv(args.listings, ingest.parse_listings, "predict",
+                                require_price=False)
+    reviews, rdrops = _read_csv(args.reviews, ingest.parse_reviews) if args.reviews else ([], [])
+    dataset = ingest.join_dataset(listings, reviews, ingest.tally(rdrops))
+    dropped = ingest.tally(drops)
+    if not dataset.listings:
+        raise CliError("no listing in %s can be scored (%s)"
+                       % (args.listings, _tallies(dropped) or "no data rows"))
     matrix = transform.assemble_matrix(dataset, range(len(dataset.listings)), fitted)
     pred = predict_model(model, matrix.values)
-    if sum(ldrops.values()):
-        log.info("skipped %d unusable input rows", sum(ldrops.values()))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -220,11 +204,21 @@ def cmd_predict(args):
             for lid, ln_pred in zip(matrix.ids, pred):
                 fh.write("%d,%s,%s\n" % (lid, serialize.format_float(float(ln_pred)),
                                          serialize.format_float(math.exp(float(ln_pred)))))
+        drops_path = _claim(outputs, out_dir / "predict_drops.csv")
+        with open(drops_path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([ingest.Drop._fields, *drops])
     except BaseException:
         _discard(outputs)
         raise
     log.info("wrote %d predictions to %s", len(matrix.ids), path)
+    if dropped or dataset.drop_log:
+        log.info("listing rows dropped: %s, listed in %s; review rows not used: %s",
+                 _tallies(dropped) or "none", drops_path, _tallies(dataset.drop_log) or "none")
     return 0
+
+
+def _tallies(counts):
+    return ", ".join("%s %d" % item for item in counts.items())
 
 
 def cmd_synth(args):
@@ -254,7 +248,8 @@ def build_parser():
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output directory (overrides config)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for ingest parsing (default 1)")
+                        help="accepted for compatibility; ingest parses in one "
+                             "thread and the value changes nothing")
     common.add_argument("--seed", type=int, help="global seed (overrides config)")
 
     parser = argparse.ArgumentParser(

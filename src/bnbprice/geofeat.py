@@ -156,13 +156,6 @@ def assign_all(points, model):
     return np.argmin(dist, axis=1)
 
 
-def assign_cluster(point, model):
-    """Index of the nearest centroid; ties break to the lowest index."""
-    d = _distance_matrix(np.asarray([point], dtype=float), model.centroids,
-                         model.metric)[0]
-    return int(np.argmin(d))
-
-
 @dataclass(frozen=True)
 class NeighbourhoodStats:
     categories: tuple  # top-N names plus a trailing "other"

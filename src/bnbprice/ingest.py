@@ -6,13 +6,14 @@ get imputed downstream. Quoted multi-line fields are supported because
 real exports embed newlines inside descriptions and review comments.
 """
 
+import collections
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 
-from .serialize import field
+from .serialize import check_rows, field
 
 
 class IngestError(ValueError):
@@ -32,7 +33,7 @@ class ListingRecord:
     city: str
     latitude: float
     longitude: float
-    price_usd: float
+    price_usd: float | None  # None only for an unpriced listing read at predict
     accommodates: int
     availability_365: int | None
     reviews_per_month: float | None
@@ -50,6 +51,15 @@ class ReviewRecord:
     review_id: int
     date: date
     comments: str
+
+
+# one input record left out: its 1-based data record number, its id if parsed, and why
+Drop = collections.namedtuple("Drop", "row id reason")
+
+
+def tally(drops):
+    """Drop counts by reason, keyed in the order reasons first occur."""
+    return dict(collections.Counter(d.reason for d in drops))
 
 
 @dataclass(frozen=True)
@@ -127,12 +137,13 @@ def _opt_date(raw):
         return None
 
 
-def parse_listings(csv_stream, city_label):
-    """Parse one city's listings CSV into records plus a drop tally.
+def parse_listings(csv_stream, city_label, require_price=True):
+    """Parse one city's listings CSV into records plus a list of Drops.
 
     The header must contain id, price, latitude, longitude, accommodates
     and description; a missing column is fatal. Each retained record gets
-    city set to city_label.
+    city set to city_label. Without require_price, a listing with an empty
+    price is kept with price_usd None.
     """
     reader = csv.DictReader(csv_stream)
     if reader.fieldnames is None:
@@ -141,44 +152,40 @@ def parse_listings(csv_stream, city_label):
         if col not in reader.fieldnames:
             raise IngestError("listings header missing column %r" % col)
     records = []
-    drops = {}
-
-    def drop(reason):
-        drops[reason] = drops.get(reason, 0) + 1
-
-    for row in reader:
+    drops = []
+    for number, row in enumerate(reader, 1):
         try:
             listing_id = int((row.get("id") or "").strip())
         except ValueError:
-            drop("bad id")
+            drops.append(Drop(number, None, "bad id"))
             continue
         try:
             lat = float((row.get("latitude") or "").strip())
             lon = float((row.get("longitude") or "").strip())
         except ValueError:
-            drop("bad coordinate")
+            drops.append(Drop(number, listing_id, "bad coordinate"))
             continue
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            drop("coordinate out of range")
+            drops.append(Drop(number, listing_id, "coordinate out of range"))
             continue
         try:
             price = parse_price(row.get("price"))
         except ValueError:
-            drop("bad price")
+            drops.append(Drop(number, listing_id, "bad price"))
             continue
-        if price is None:
-            drop("missing price")
+        if price is None and require_price:
+            drops.append(Drop(number, listing_id, "missing price"))
             continue
-        if price <= 0.0:
-            drop("nonpositive price")
+        if price is not None and price <= 0.0:
+            drops.append(Drop(number, listing_id, "nonpositive price"))
             continue
         try:
             accommodates = int((row.get("accommodates") or "").strip())
         except ValueError:
-            drop("bad accommodates")
+            drops.append(Drop(number, listing_id, "bad accommodates"))
             continue
         if accommodates < 1:
-            drop("bad accommodates")
+            drops.append(Drop(number, listing_id, "bad accommodates"))
             continue
         records.append(ListingRecord(
             id=listing_id,
@@ -200,7 +207,7 @@ def parse_listings(csv_stream, city_label):
 
 
 def parse_reviews(csv_stream):
-    """Parse a reviews CSV; rows without a parseable date are dropped.
+    """Parse a reviews CSV; rows without parseable ids or date become Drops.
 
     Empty comments are retained, they count toward review totals and
     score 0 later.
@@ -212,17 +219,17 @@ def parse_reviews(csv_stream):
         if col not in reader.fieldnames:
             raise IngestError("reviews header missing column %r" % col)
     records = []
-    drops = {}
-    for row in reader:
+    drops = []
+    for number, row in enumerate(reader, 1):
         try:
             listing_id = int((row.get("listing_id") or "").strip())
             review_id = int((row.get("id") or "").strip())
         except ValueError:
-            drops["bad review id"] = drops.get("bad review id", 0) + 1
+            drops.append(Drop(number, None, "bad review id"))
             continue
         when = _opt_date(row.get("date"))
         if when is None:
-            drops["bad date"] = drops.get("bad date", 0) + 1
+            drops.append(Drop(number, review_id, "bad date"))
             continue
         records.append(ReviewRecord(listing_id=listing_id, review_id=review_id,
                                     date=when, comments=row.get("comments") or ""))
@@ -277,10 +284,21 @@ def dataset_to_doc(dataset):
     }
 
 
+# (field, annotation) per column of a dataset.json row, where a date is its
+# ISO string; ingest keeps only priced listings, so a price is never null
+_ON_DISK = {date: str, date | None: str | None}
+_LISTING_COLUMNS = tuple((f.name, float if f.name == "price_usd" else _ON_DISK.get(f.type, f.type))
+                         for f in fields(ListingRecord))
+# a review row is stored under its listing id, without it
+_REVIEW_COLUMNS = tuple((f.name, _ON_DISK.get(f.type, f.type)) for f in fields(ReviewRecord))[1:]
+
+
 def dataset_from_doc(doc):
     version = field(doc, "schema_version", int, "dataset")
     if version != 1:
         raise IngestError("unsupported dataset schema_version %r" % version)
+    rows = field(doc, "listings", list, "dataset")
+    check_rows(rows, _LISTING_COLUMNS, "dataset: listings")
     listings = tuple(
         ListingRecord(
             id=row[0], city=row[1], latitude=row[2], longitude=row[3],
@@ -290,13 +308,16 @@ def dataset_from_doc(doc):
             neighbourhood=row[10], room_type=row[11], bedrooms=row[12],
             description=row[13],
         )
-        for row in field(doc, "listings", list, "dataset")
+        for row in rows
     )
+    grouped = field(doc, "reviews", dict, "dataset")
+    check_rows([rv for rvs in grouped.values() for rv in rvs], _REVIEW_COLUMNS,
+               "dataset: reviews")
     reviews = {
         int(lid): tuple(ReviewRecord(listing_id=int(lid), review_id=rv[0],
                                      date=date.fromisoformat(rv[1]), comments=rv[2])
                         for rv in rvs)
-        for lid, rvs in field(doc, "reviews", dict, "dataset").items()
+        for lid, rvs in grouped.items()
     }
     return Dataset(listings=listings, reviews_by_listing=reviews,
                    drop_log=dict(field(doc, "drop_log", dict, "dataset")))

@@ -9,6 +9,7 @@ parses back to the exact same double, and dict insertion order is kept.
 import dataclasses
 import json
 import math
+import operator
 import reprlib
 import typing
 
@@ -117,6 +118,30 @@ def field(doc, key, annotation, where):
         raise ValueError("%s: key %r must be %s, got %s %s" % (
             where, key, _type_name(annotation), type(value).__name__, reprlib.repr(value)))
     return value
+
+
+def check_rows(rows, columns, where):
+    """Check that each row is a list with one value per (name, annotation) column.
+
+    Values follow the field rule; a failure is a ValueError naming where,
+    the 1-based row and the column.
+    """
+    width = len(columns)
+    # C-level passes over rows and columns spare a well-formed file the per-value rule
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        for number, row in enumerate(rows, 1):
+            if type(row) is not list or len(row) != width:
+                raise ValueError("%s row %d: expected a list of %d values, got %s"
+                                 % (where, number, width, reprlib.repr(row)))
+    for j, (name, annotation) in enumerate(columns):
+        exact = set(typing.get_args(annotation) or (annotation,))
+        if set(map(type, map(operator.itemgetter(j), rows))) <= exact:
+            continue
+        for number, row in enumerate(rows, 1):
+            if not _matches(row[j], annotation):
+                raise ValueError("%s row %d: %r must be %s, got %s %s" % (
+                    where, number, name, _type_name(annotation),
+                    type(row[j]).__name__, reprlib.repr(row[j])))
 
 
 def _json_key(f):

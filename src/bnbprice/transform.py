@@ -20,10 +20,12 @@ class AssemblyError(ValueError):
     """Feature matrix construction failed its own consistency checks."""
 
 
-PIPELINE_SCHEMA_VERSION = 1
+PIPELINE_SCHEMA_VERSION = 2
 
 # the four raw numeric listing fields, in matrix order
 NUMERIC_COLUMNS = ("accommodates", "availability_365", "reviews_per_month", "bedrooms")
+# accommodates is required at ingest; only these may be absent and get a missing flag
+OPTIONAL_NUMERIC = NUMERIC_COLUMNS[1:]
 
 
 @dataclass(frozen=True)
@@ -71,31 +73,8 @@ def apply_scaler(value, params):
     """
     spread = params.b - params.a if params.kind == "minmax" else params.b
     if spread == 0.0:
-        if np.isscalar(value):
-            return 0.0
-        return np.zeros_like(np.asarray(value, dtype=float))
+        return np.zeros(np.shape(value))
     return (value - params.a) / spread
-
-
-def one_hot(label, categories):
-    """0/1 vector with a single 1; unseen or absent labels hit "other"."""
-    vec = [0.0] * len(categories)
-    if label is None or label not in categories:
-        idx = categories.index("other")
-    else:
-        idx = categories.index(label)
-    vec[idx] = 1.0
-    return vec
-
-
-def label_encode(label, ordered_levels):
-    """Rank of label in the configured level order.
-
-    Returns (rank, missing_flag); unseen or absent labels give (-1, 1).
-    """
-    if label is not None and label in ordered_levels:
-        return ordered_levels.index(label), 0
-    return -1, 1
 
 
 def host_experience_months(host_since, snapshot):
@@ -116,33 +95,17 @@ def log_price(price_usd):
     return math.log(price_usd)
 
 
-def inverse_log_price(y):
-    return math.exp(y)
-
-
-@dataclass(frozen=True)
-class ColumnMeta:
-    name: str
-    source: str  # numeric | one_hot | sentiment | tfidf_score | geo_cluster | neighbourhood | temporal | missing_flag
-
-
+@dataclass
 class FeatureMatrix:
-    """Dense (n, m) feature values with ordered column metadata."""
-
-    def __init__(self, values, columns, target, ids):
-        self.values = values
-        self.columns = list(columns)
-        self.target = target
-        self.ids = list(ids)
-
-    @property
-    def rows(self):
-        return self.values.shape[0]
+    """(n, m) feature values, column names, ln(price) if every row is priced (else None), ids."""
+    values: np.ndarray
+    columns: list
+    target: np.ndarray | None
+    ids: list
 
 
 @dataclass
 class FittedPipeline:
-    schema_version: int
     lexicon: textfeat.SentimentLexicon
     vocab: textfeat.Vocabulary
     direction: textfeat.DescriptionDirection
@@ -152,7 +115,14 @@ class FittedPipeline:
     medians: dict     # column name -> train median used for imputation
     room_type_levels: tuple
     snapshot_date: date
-    columns: tuple    # ColumnMeta in assembly order
+
+    @property
+    def columns(self):
+        """Column names in assembly order, block by block."""
+        names = [name for block_names, _ in BLOCKS for name in block_names(self)]
+        if len(set(names)) != len(names):
+            raise AssemblyError("duplicate column names in matrix layout")
+        return tuple(names)
 
 
 def resolve_snapshot_date(dataset, configured):
@@ -166,30 +136,6 @@ def resolve_snapshot_date(dataset, configured):
     if host_dates:
         return max(host_dates)
     return date(1970, 1, 1)
-
-
-def build_columns(k_clusters, neigh_categories):
-    cols = []
-    for name in NUMERIC_COLUMNS:
-        cols.append(ColumnMeta(name, "numeric"))
-        cols.append(ColumnMeta(name + "_missing", "missing_flag"))
-    cols.append(ColumnMeta("sentiment_mean", "sentiment"))
-    cols.append(ColumnMeta("review_count", "sentiment"))
-    cols.append(ColumnMeta("description_score", "tfidf_score"))
-    for j in range(k_clusters):
-        cols.append(ColumnMeta("cluster_%d" % j, "geo_cluster"))
-    for cat in neigh_categories:
-        cols.append(ColumnMeta("neighbourhood=%s" % cat, "neighbourhood"))
-    cols.append(ColumnMeta("neighbourhood_popularity", "neighbourhood"))
-    cols.append(ColumnMeta("host_is_superhost", "numeric"))
-    cols.append(ColumnMeta("host_experience_months", "temporal"))
-    cols.append(ColumnMeta("host_since_missing", "missing_flag"))
-    cols.append(ColumnMeta("room_type_rank", "numeric"))
-    cols.append(ColumnMeta("room_type_missing", "missing_flag"))
-    names = [c.name for c in cols]
-    if len(set(names)) != len(names):
-        raise AssemblyError("duplicate column names in matrix layout")
-    return tuple(cols)
 
 
 def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords):
@@ -224,7 +170,6 @@ def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords):
         months, cfg.scaler_map.get("host_experience_months", "robust"))
 
     return FittedPipeline(
-        schema_version=PIPELINE_SCHEMA_VERSION,
         lexicon=lexicon,
         vocab=vocab,
         direction=direction,
@@ -234,75 +179,95 @@ def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords):
         medians=medians,
         room_type_levels=tuple(cfg.room_type_levels),
         snapshot_date=snapshot,
-        columns=build_columns(cfg.k_clusters, neighbourhoods.categories),
     )
 
 
+def _numeric(out, listings, dataset, fp):
+    accommodates = np.array([r.accommodates for r in listings], dtype=float)
+    out[:, 0] = apply_scaler(accommodates, fp.scalers["accommodates"])
+    for j, name in enumerate(OPTIONAL_NUMERIC):
+        raw = [getattr(r, name) for r in listings]
+        present = np.array([fp.medians[name] if v is None else v for v in raw], dtype=float)
+        out[:, 2 * j + 1] = apply_scaler(present, fp.scalers[name])
+        out[:, 2 * j + 2] = [v is None for v in raw]
+
+
+def _text(out, listings, dataset, fp):
+    reviews = dataset.reviews_by_listing
+    out[:, 0:2] = [textfeat.listing_sentiment([rv.comments for rv in reviews.get(r.id, ())],
+                                              fp.lexicon)
+                   for r in listings]
+    out[:, 2] = [textfeat.description_score(textfeat.tfidf_vector(r.description, fp.vocab),
+                                            fp.direction)
+                 for r in listings]
+
+
+def _clusters(out, listings, dataset, fp):
+    labels = geofeat.assign_all([[r.latitude, r.longitude] for r in listings], fp.clusters)
+    out[np.arange(len(listings)), labels] = 1.0
+
+
+def _neighbourhoods(out, listings, dataset, fp):
+    # one-hot over the categories; an unseen or absent name hits "other"
+    index = _first_index(fp.neighbourhoods.categories)
+    names = [geofeat.MISSING_NEIGHBOURHOOD if r.neighbourhood is None else r.neighbourhood
+             for r in listings]
+    out[np.arange(len(listings)), [index.get(name, index["other"]) for name in names]] = 1.0
+    out[:, -1] = [geofeat.neighbourhood_popularity(r, fp.neighbourhoods) for r in listings]
+
+
+def _host(out, listings, dataset, fp):
+    out[:, 0] = [bool(r.host_is_superhost) for r in listings]
+    out[:, 1:3] = [host_experience_months(r.host_since, fp.snapshot_date) for r in listings]
+    out[:, 1] = apply_scaler(out[:, 1], fp.scalers["host_experience_months"])
+    # rank in the configured level order; an unseen or absent room type is -1, flagged
+    rank = _first_index(fp.room_type_levels)
+    out[:, 3] = [rank.get(r.room_type, -1) for r in listings]
+    out[:, 4] = [r.room_type not in rank for r in listings]
+
+
+def _first_index(labels):
+    """label -> the index of its first occurrence."""
+    return {label: i for i, label in reversed(list(enumerate(labels)))}
+
+
+# The feature blocks in matrix order: each block's column names, from the
+# fitted pipeline, beside the builder that fills the block's (n, width)
+# slice of the matrix for all n listings at once.
+BLOCKS = (
+    (lambda fp: ["accommodates"] + [c for name in OPTIONAL_NUMERIC
+                                    for c in (name, name + "_missing")], _numeric),
+    (lambda fp: ["sentiment_mean", "review_count", "description_score"], _text),
+    (lambda fp: ["cluster_%d" % j for j in range(fp.clusters.k)], _clusters),
+    (lambda fp: (["neighbourhood=%s" % cat for cat in fp.neighbourhoods.categories]
+                 + ["neighbourhood_popularity"]), _neighbourhoods),
+    (lambda fp: ["host_is_superhost", "host_experience_months", "host_since_missing",
+                 "room_type_rank", "room_type_missing"], _host),
+)
+
+
 def assemble_matrix(dataset, indices, fitted):
-    """Build the feature matrix for the given listing rows.
-
-    Column order is fixed by the pipeline: scaled numerics with paired
-    missing flags, sentiment mean and review count, description score,
-    cluster one-hot, neighbourhood one-hot plus popularity, superhost,
-    scaled host experience with its flag, then the room_type ordinal.
-    """
+    """Build the feature matrix for the given listing rows, one block at a time."""
     listings = [dataset.listings[i] for i in indices]
-    n = len(listings)
-    m = len(fitted.columns)
-    k = fitted.clusters.k
-
-    if n:
-        points = np.array([[r.latitude, r.longitude] for r in listings])
-        cluster_labels = geofeat.assign_all(points, fitted.clusters)
-    else:
-        cluster_labels = np.zeros(0, dtype=int)
-
-    rows = []
-    target = []
-    for pos, rec in enumerate(listings):
-        row = []
-        for name in NUMERIC_COLUMNS:
-            raw = getattr(rec, name)
-            if raw is None:
-                value, flag = fitted.medians[name], 1.0
-            else:
-                value, flag = float(raw), 0.0
-            row.append(float(apply_scaler(value, fitted.scalers[name])))
-            row.append(flag)
-        texts = [rv.comments for rv in dataset.reviews_by_listing.get(rec.id, ())]
-        mean_score, count = textfeat.listing_sentiment(texts, fitted.lexicon)
-        row.append(mean_score)
-        row.append(float(count))
-        vector = textfeat.tfidf_vector(rec.description, fitted.vocab)
-        row.append(textfeat.description_score(vector, fitted.direction))
-        block = [0.0] * k
-        block[int(cluster_labels[pos])] = 1.0
-        row.extend(block)
-        neigh = rec.neighbourhood if rec.neighbourhood is not None else geofeat.MISSING_NEIGHBOURHOOD
-        row.extend(one_hot(neigh, fitted.neighbourhoods.categories))
-        row.append(geofeat.neighbourhood_popularity(rec, fitted.neighbourhoods))
-        row.append(1.0 if rec.host_is_superhost else 0.0)
-        months, month_flag = host_experience_months(rec.host_since, fitted.snapshot_date)
-        row.append(float(apply_scaler(float(months), fitted.scalers["host_experience_months"])))
-        row.append(float(month_flag))
-        rank, rank_flag = label_encode(rec.room_type, fitted.room_type_levels)
-        row.append(float(rank))
-        row.append(float(rank_flag))
-        if len(row) != m:
-            raise AssemblyError("row has %d values, expected %d columns" % (len(row), m))
-        rows.append(row)
-        target.append(log_price(rec.price_usd))
-
-    values = np.array(rows, dtype=float) if rows else np.zeros((0, m))
+    columns = fitted.columns
+    values = np.zeros((len(listings), len(columns)))
+    start = 0
+    for block_names, fill in BLOCKS:
+        stop = start + len(block_names(fitted))
+        if listings:
+            fill(values[:, start:stop], listings, dataset, fitted)
+        start = stop
     if not np.all(np.isfinite(values)):
         raise AssemblyError("non-finite value in assembled matrix")
-    return FeatureMatrix(values=values, columns=fitted.columns,
-                         target=np.array(target, dtype=float), ids=[r.id for r in listings])
+    priced = all(r.price_usd is not None for r in listings)
+    target = np.array([log_price(r.price_usd) for r in listings]) if priced else None
+    return FeatureMatrix(values=values, columns=list(columns), target=target,
+                         ids=[r.id for r in listings])
 
 
 def pipeline_to_doc(fp):
     return {
-        "schema_version": fp.schema_version,
+        "schema_version": PIPELINE_SCHEMA_VERSION,
         "lexicon": {"entries": dict(fp.lexicon.entries), "max_abs": fp.lexicon.max_abs},
         "vocab": {"terms": list(fp.vocab.terms),
                   "idf": [float(x) for x in fp.vocab.idf],
@@ -320,7 +285,6 @@ def pipeline_to_doc(fp):
         "medians": {name: float(v) for name, v in fp.medians.items()},
         "room_type_levels": list(fp.room_type_levels),
         "snapshot_date": fp.snapshot_date.isoformat(),
-        "columns": [{"name": c.name, "source": c.source} for c in fp.columns],
     }
 
 
@@ -334,7 +298,6 @@ def pipeline_from_doc(doc):
     vocab, direction, clusters = part("vocab"), part("direction"), part("clusters")
     neighbourhoods = part("neighbourhoods")
     return FittedPipeline(
-        schema_version=version,
         lexicon=textfeat.lexicon_from_entries(part("lexicon")["entries"]),
         vocab=textfeat.Vocabulary(vocab["terms"], vocab["idf"], vocab["doc_count"]),
         direction=textfeat.DescriptionDirection(direction["weights"], direction["norm"]),
@@ -350,5 +313,4 @@ def pipeline_from_doc(doc):
         medians=dict(part("medians")),
         room_type_levels=tuple(part("room_type_levels", list)),
         snapshot_date=date.fromisoformat(part("snapshot_date", str)),
-        columns=tuple(ColumnMeta(c["name"], c["source"]) for c in part("columns", list)),
     )

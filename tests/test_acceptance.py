@@ -284,7 +284,7 @@ def test_criterion_6_engineered_feature_importance(e2e):
         serialize.load_file(e2e.out / "pipeline.json"))
     model = registry.model_from_doc(
         serialize.load_file(e2e.out / "model_0_gbdt.json"))
-    names = [c.name for c in pipeline.columns]
+    names = pipeline.columns
     gain = {name: g for name, g in zip(names, model.feature_gain)}
     cluster_total = sum(g for name, g in gain.items()
                         if name.startswith("cluster_"))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import math
 
 import pytest
@@ -272,9 +273,32 @@ def truncate_first_listing(doc):
     doc["listings"][0] = doc["listings"][0][:5]
 
 
+def set_first_listing(index, value):
+    def spoil(doc):
+        doc["listings"][0][index] = value
+    return spoil
+
+
+def number_first_review_date(doc):
+    reviews = [rvs for rvs in doc["reviews"].values() if rvs]
+    reviews[0][0][1] = 20210314
+
+
 @pytest.mark.parametrize("spoil,expected", [
     (drop_key("drop_log"), "missing key 'drop_log'"),
-    (truncate_first_listing, "IndexError"),
+    pytest.param(truncate_first_listing, "listings row 1: expected a list of 14 values",
+                 id="truncate_first_listing-short row"),
+    pytest.param(set_first_listing(2, "abc"),
+                 "listings row 1: 'latitude' must be float, got str 'abc'", id="latitude abc"),
+    pytest.param(set_first_listing(2, "34.1"),
+                 "listings row 1: 'latitude' must be float, got str '34.1'", id="latitude 34.1"),
+    pytest.param(set_first_listing(5, None),
+                 "listings row 1: 'accommodates' must be int, got NoneType",
+                 id="null accommodates"),
+    pytest.param(set_first_listing(4, None),
+                 "listings row 1: 'price_usd' must be float, got NoneType", id="null price"),
+    pytest.param(number_first_review_date, "reviews row 1: 'date' must be str, got int",
+                 id="review date int"),
 ])
 def test_malformed_dataset_exits_2_naming_the_file(trained, tmp_path, caplog, spoil, expected):
     tmp, out, config = trained
@@ -309,3 +333,90 @@ def test_malformed_pipeline_exits_2_naming_the_file(trained, tmp_path, caplog, s
     errors = error_lines(caplog)
     assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
     assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def write_listings(path, source, edit):
+    """Copy a listings CSV, passing each data row's dict through edit (None drops it)."""
+    with open(source, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, header, lineterminator="\n")
+        writer.writeheader()
+        for i, row in enumerate(rows):
+            row = edit(i, row)
+            if row is not None:
+                writer.writerow(row)
+    return str(path)
+
+
+def predict_args(trained, dest, listings):
+    tmp, out, config = trained
+    return ["predict", "--out", str(dest), "--pipeline", str(out / "pipeline.json"),
+            "--model", str(out / "model_1_gbdt.json"), "--listings", listings,
+            "--reviews", str(tmp / "data" / "reviews.csv")]
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_predict_scores_unpriced_rows_in_input_order(trained, tmp_path):
+    tmp, out, config = trained
+    full = main(predict_args(trained, tmp_path / "full", str(tmp / "data" / "listings.csv")))
+    listings = write_listings(tmp_path / "l.csv", tmp / "data" / "listings.csv",
+                              lambda i, row: {**row, "price": ""} if i % 3 == 0 else row)
+    assert full == 0 and main(predict_args(trained, tmp_path / "p", listings)) == 0
+    assert (read_csv(tmp_path / "p" / "predictions.csv")
+            == read_csv(tmp_path / "full" / "predictions.csv"))
+    assert read_csv(tmp_path / "p" / "predict_drops.csv") == [["row", "id", "reason"]]
+
+
+def test_predict_lists_dropped_rows(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    spoil = {1: ("latitude", "abc"), 2: ("id", "x7"), 4: ("price", "$-3"), 5: ("price", "$x")}
+
+    def edit(i, row):
+        if i in spoil:
+            key, value = spoil[i]
+            row = {**row, key: value}
+        return row
+
+    listings = write_listings(tmp_path / "l.csv", tmp / "data" / "listings.csv", edit)
+    caplog.set_level(logging.INFO, logger="bnbprice")
+    assert main(predict_args(trained, tmp_path / "p", listings)) == 0
+    ids = [row["id"] for row in csv.DictReader(open(tmp / "data" / "listings.csv"))]
+    drops = read_csv(tmp_path / "p" / "predict_drops.csv")
+    assert drops == [["row", "id", "reason"], ["2", ids[1], "bad coordinate"],
+                     ["3", "", "bad id"], ["5", ids[4], "nonpositive price"],
+                     ["6", ids[5], "bad price"]]
+    predicted = [row[0] for row in read_csv(tmp_path / "p" / "predictions.csv")[1:]]
+    assert predicted == [lid for i, lid in enumerate(ids) if i not in spoil]
+    assert any("listing rows dropped: bad coordinate 1, bad id 1, nonpositive price 1, "
+               "bad price 1" in rec.getMessage() for rec in caplog.records)
+
+
+def test_predict_with_no_scorable_row_exits_2_without_outputs(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    listings = write_listings(
+        tmp_path / "l.csv", tmp / "data" / "listings.csv",
+        lambda i, row: None if i > 2 else {**row, "price": "$0" if i else "$x"})
+    assert main(predict_args(trained, tmp_path / "p", listings)) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "bad price 1, nonpositive price 2" in errors[0], errors
+    assert not (tmp_path / "p").exists() or not any((tmp_path / "p").iterdir())
+
+
+def test_predict_refuses_a_schema_1_pipeline(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    doc = load_file(out / "pipeline.json")
+    doc["schema_version"] = 1
+    bad = tmp_path / "pipeline.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["predict", "--out", str(tmp_path / "p"), "--pipeline", str(bad),
+                 "--model", str(out / "model_0_ridge.json"),
+                 "--listings", str(tmp / "data" / "listings.csv")])
+    assert code == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "schema_version 1" in errors[0], errors

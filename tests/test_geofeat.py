@@ -135,15 +135,6 @@ def test_euclidean_distance_matches_difference_tensor_bit_for_bit():
         assert got.tobytes() == want.tobytes()
 
 
-def test_assign_cluster_matches_assign_all():
-    rng = np.random.RandomState(21)
-    pts = rng.uniform(low=(30, -120), high=(34, -116), size=(200, 2))
-    model = geofeat.kmeans_fit(pts, 6, seed=1)
-    labels = geofeat.assign_all(pts, model)
-    for i in (0, 17, 50, 199):
-        assert geofeat.assign_cluster(pts[i], model) == labels[i]
-
-
 def test_neighbourhood_stats_ranking_and_other():
     listings = ([make_listing(i, neighbourhood="Mission") for i in range(5)]
                 + [make_listing(10 + i, neighbourhood="Alamo") for i in range(3)]

@@ -49,15 +49,34 @@ def test_row_level_problems_drop_with_reasons():
     ]
     records, drops = parse(rows)
     assert [r.id for r in records] == [1]
-    assert drops == {"bad id": 1, "bad coordinate": 1, "coordinate out of range": 1,
-                     "bad price": 1, "missing price": 1, "nonpositive price": 1,
-                     "bad accommodates": 1}
+    assert ingest.tally(drops) == {"bad id": 1, "bad coordinate": 1,
+                                   "coordinate out of range": 1, "bad price": 1,
+                                   "missing price": 1, "nonpositive price": 1,
+                                   "bad accommodates": 1}
+    assert [(d.row, d.id) for d in drops] == [(2, None), (3, 2), (4, 3), (5, 4), (6, 5),
+                                              (7, 6), (8, 7)]
+
+
+def test_unpriced_listing_kept_only_without_require_price():
+    rows = [
+        '1,a,desc,Mission,34.0,-118.0,Private room,2,1,,10,0.5,t,2015-01-01',
+        '2,a,desc,Mission,34.0,-118.0,Private room,2,1,$x,10,0.5,t,2015-01-01',
+        '3,a,desc,Mission,34.0,-118.0,Private room,2,1,$0,10,0.5,t,2015-01-01',
+    ]
+    text = LISTING_HEADER + "\n" + "\n".join(rows) + "\n"
+    records, drops = ingest.parse_listings(io.StringIO(text), "c", require_price=False)
+    assert [(r.id, r.price_usd) for r in records] == [(1, None)]
+    assert [(d.row, d.id, d.reason) for d in drops] == [(2, 2, "bad price"),
+                                                       (3, 3, "nonpositive price")]
+    records, drops = parse(rows)
+    assert records == []
+    assert [d.reason for d in drops] == ["missing price", "bad price", "nonpositive price"]
 
 
 def test_optional_fields_tolerate_garbage():
     row = '8,a,desc,,34.0,-118.0,,2,,$50,900,-3,yes,not-a-date'
     records, drops = parse([row])
-    assert drops == {}
+    assert drops == []
     rec = records[0]
     assert rec.availability_365 is None  # out of the 0..365 range
     assert rec.reviews_per_month is None  # negative
@@ -101,7 +120,8 @@ def test_reviews_parse_and_drop_reasons():
     reviews, drops = ingest.parse_reviews(io.StringIO(text))
     assert [r.review_id for r in reviews] == [11, 14]
     assert reviews[1].comments == ""  # retained, scores zero later
-    assert drops == {"bad date": 1, "bad review id": 1}
+    assert ingest.tally(drops) == {"bad date": 1, "bad review id": 1}
+    assert [(d.row, d.id) for d in drops] == [(2, 12), (3, None)]
 
 
 def test_join_counts_orphans_and_keeps_order():
@@ -136,7 +156,7 @@ def test_dataset_doc_round_trip():
     ])
     text = "listing_id,id,date,comments\n1,5,2020-02-02,nice and clean\n"
     reviews, _ = ingest.parse_reviews(io.StringIO(text))
-    dataset = ingest.join_dataset(records, reviews, drops)
+    dataset = ingest.join_dataset(records, reviews, ingest.tally(drops))
     doc = ingest.dataset_to_doc(dataset)
     back = ingest.dataset_from_doc(doc)
     assert back == dataset

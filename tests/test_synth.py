@@ -39,8 +39,8 @@ def test_output_survives_ingest_with_zero_drops():
     listings, ldrops = ingest.parse_listings(
         io.StringIO(listings_csv.decode("utf-8")), "synth")
     reviews, rdrops = ingest.parse_reviews(io.StringIO(reviews_csv.decode("utf-8")))
-    assert ldrops == {}
-    assert rdrops == {}
+    assert ldrops == []
+    assert rdrops == []
     assert len(listings) == 600
     dataset = ingest.join_dataset(listings, reviews)
     assert sum(len(v) for v in dataset.reviews_by_listing.values()) == len(reviews)
