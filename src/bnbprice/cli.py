@@ -136,14 +136,10 @@ def cmd_train(args):
         log.info("model %d (%s): val mse %.5f, test mse %.5f, test r2 %.4f",
                  i, kind, scores[1].mse, scores[2].mse, scores[2].r2)
 
-    city_order = []
-    for rec in dataset.listings:
-        if rec.city not in city_order:
-            city_order.append(rec.city)
     summary = {
         "n_listings": len(dataset.listings),
         "n_reviews": sum(len(v) for v in dataset.reviews_by_listing.values()),
-        "cities": city_order,
+        "cities": list(dict.fromkeys(rec.city for rec in dataset.listings)),
         "n_features": len(fitted.columns),
     }
     results = evalreport.RunResults(
@@ -202,8 +198,8 @@ def cmd_predict(args):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("id,ln_price_pred,price_pred\n")
             for lid, ln_pred in zip(matrix.ids, pred):
-                fh.write("%d,%s,%s\n" % (lid, serialize.format_float(float(ln_pred)),
-                                         serialize.format_float(math.exp(float(ln_pred)))))
+                fh.write("%d,%s,%s\n" % (lid, serialize.format_float(ln_pred),
+                                         serialize.format_float(math.exp(ln_pred))))
         drops_path = _claim(outputs, out_dir / "predict_drops.csv")
         with open(drops_path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([ingest.Drop._fields, *drops])

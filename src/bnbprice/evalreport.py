@@ -152,14 +152,6 @@ class RunResults:
     pipeline_doc: dict
 
 
-def _best_model_index(results):
-    best = 0
-    for i in range(1, len(results.models)):
-        if results.models[i].val.mse < results.models[best].val.mse:
-            best = i
-    return best
-
-
 def importance_svg(entries):
     """Horizontal bar chart, one 20px row per entry on a 1000px canvas."""
     rows = list(entries)
@@ -190,10 +182,12 @@ def emit_report(run_results, out_dir, top_n=60, register=None):
     starts, so a failing run can delete partial output. Returns the list
     of paths written.
     """
+    written = []
 
     def claim(path):
         if register is not None:
             register.append(path)
+        written.append(path)
         return path
 
     report = {
@@ -208,34 +202,22 @@ def emit_report(run_results, out_dir, top_n=60, register=None):
         "grid": list(run_results.grid),
         "config": run_results.config_doc,
     }
-    written = []
-    path = claim(out_dir / "report.json")
-    serialize.dump_file(report, path)
-    written.append(path)
+    serialize.dump_file(report, claim(out_dir / "report.json"))
 
-    best = _best_model_index(run_results)
-    entries = feature_importance(run_results.models[best].model,
-                                 run_results.columns)
-    path = claim(out_dir / "importance.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # the first of equal lowest validation MSEs
+    best = min(run_results.models, key=lambda m: m.val.mse)
+    entries = feature_importance(best.model, run_results.columns)
+    with open(claim(out_dir / "importance.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "feature", "score"])
         for e in entries:
             writer.writerow([e.rank, e.feature, serialize.format_float(e.score)])
-    written.append(path)
 
     shown = entries[:top_n] if top_n is not None else entries
-    path = claim(out_dir / "importance.svg")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(claim(out_dir / "importance.svg"), "w", encoding="utf-8") as fh:
         fh.write(importance_svg(shown))
-    written.append(path)
-
-    path = claim(out_dir / "pipeline.json")
-    serialize.dump_file(run_results.pipeline_doc, path)
-    written.append(path)
-
+    serialize.dump_file(run_results.pipeline_doc, claim(out_dir / "pipeline.json"))
     for i, m in enumerate(run_results.models):
         path = claim(out_dir / ("model_%d_%s.json" % (i, m.kind)))
         serialize.dump_file(model_to_doc(m.model), path)
-        written.append(path)
     return written

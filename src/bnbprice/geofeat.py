@@ -167,7 +167,8 @@ def fit_neighbourhood_stats(train_listings, top_n=25):
 
     Absent values are tallied under the reserved "(missing)" name. Count
     ties rank lexicographically. The category list always ends with the
-    catch-all "other".
+    catch-all "other"; a neighbourhood really named "other" is never
+    ranked, so its listings fall to the catch-all.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -175,7 +176,7 @@ def fit_neighbourhood_stats(train_listings, top_n=25):
     for rec in train_listings:
         name = rec.neighbourhood if rec.neighbourhood is not None else MISSING_NEIGHBOURHOOD
         counts[name] = counts.get(name, 0) + 1
-    ranked = sorted(counts, key=lambda name: (-counts[name], name))
+    ranked = sorted(counts.keys() - {"other"}, key=lambda name: (-counts[name], name))
     return NeighbourhoodStats(categories=tuple(ranked[:top_n]) + ("other",),
                               counts=counts)
 

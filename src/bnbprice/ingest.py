@@ -10,6 +10,7 @@ import collections
 import csv
 import math
 import re
+import reprlib
 from dataclasses import dataclass, fields
 from datetime import date
 
@@ -293,31 +294,48 @@ _LISTING_COLUMNS = tuple((f.name, float if f.name == "price_usd" else _ON_DISK.g
 _REVIEW_COLUMNS = tuple((f.name, _ON_DISK.get(f.type, f.type)) for f in fields(ReviewRecord))[1:]
 
 
+def _raise_bad_date(rows, j, name, where, optional):
+    """Raise a ValueError naming the first row whose date column j is not an ISO date."""
+    for number, row in enumerate(rows, 1):
+        try:
+            if row[j] or not optional:
+                date.fromisoformat(row[j])
+        except ValueError as exc:
+            raise ValueError("%s row %d: %r must be an ISO date, got %s (%s)" % (
+                where, number, name, reprlib.repr(row[j]), exc)) from None
+
+
 def dataset_from_doc(doc):
     version = field(doc, "schema_version", int, "dataset")
     if version != 1:
         raise IngestError("unsupported dataset schema_version %r" % version)
     rows = field(doc, "listings", list, "dataset")
     check_rows(rows, _LISTING_COLUMNS, "dataset: listings")
-    listings = tuple(
-        ListingRecord(
-            id=row[0], city=row[1], latitude=row[2], longitude=row[3],
-            price_usd=row[4], accommodates=row[5], availability_365=row[6],
-            reviews_per_month=row[7], host_is_superhost=row[8],
-            host_since=date.fromisoformat(row[9]) if row[9] else None,
-            neighbourhood=row[10], room_type=row[11], bedrooms=row[12],
-            description=row[13],
-        )
-        for row in rows
-    )
     grouped = field(doc, "reviews", dict, "dataset")
-    check_rows([rv for rvs in grouped.values() for rv in rvs], _REVIEW_COLUMNS,
-               "dataset: reviews")
-    reviews = {
-        int(lid): tuple(ReviewRecord(listing_id=int(lid), review_id=rv[0],
-                                     date=date.fromisoformat(rv[1]), comments=rv[2])
-                        for rv in rvs)
-        for lid, rvs in grouped.items()
-    }
+    review_rows = [rv for rvs in grouped.values() for rv in rvs]
+    check_rows(review_rows, _REVIEW_COLUMNS, "dataset: reviews")
+    try:
+        listings = tuple(
+            ListingRecord(
+                id=row[0], city=row[1], latitude=row[2], longitude=row[3],
+                price_usd=row[4], accommodates=row[5], availability_365=row[6],
+                reviews_per_month=row[7], host_is_superhost=row[8],
+                host_since=date.fromisoformat(row[9]) if row[9] else None,
+                neighbourhood=row[10], room_type=row[11], bedrooms=row[12],
+                description=row[13],
+            )
+            for row in rows
+        )
+        reviews = {
+            int(lid): tuple(ReviewRecord(listing_id=int(lid), review_id=rv[0],
+                                         date=date.fromisoformat(rv[1]), comments=rv[2])
+                            for rv in rvs)
+            for lid, rvs in grouped.items()
+        }
+    except ValueError:
+        # the bad row is looked for only after a failure, so a well-formed file pays nothing
+        _raise_bad_date(rows, 9, "host_since", "dataset: listings", optional=True)
+        _raise_bad_date(review_rows, 1, "date", "dataset: reviews", optional=False)
+        raise
     return Dataset(listings=listings, reviews_by_listing=reviews,
                    drop_log=dict(field(doc, "drop_log", dict, "dataset")))

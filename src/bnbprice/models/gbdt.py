@@ -166,10 +166,13 @@ def _partition(I, left_rows, n_rows_total):
     """Split a node's index block, keeping each row's sorted order."""
     member = np.zeros(n_rows_total, dtype=bool)
     member[left_rows] = True
-    keep = member[I]
+    flat = I.ravel()
+    keep = member.take(flat)
     m, n = I.shape
     n_left = left_rows.shape[0]
-    return I[keep].reshape(m, n_left), I[~keep].reshape(m, n - n_left)
+    # compress over the flat block is several times faster than I[keep], same order
+    return (np.compress(keep, flat).reshape(m, n_left),
+            np.compress(~keep, flat).reshape(m, n - n_left))
 
 
 def _leaf_value(I, r, params):

@@ -2,11 +2,13 @@
 
 Every artifact file (dataset, pipeline, models, report) goes through
 dumps/dump_file so that equal in-memory values always produce equal
-bytes. Floats are rendered with 17 significant digits, which json.loads
-parses back to the exact same double, and dict insertion order is kept.
+bytes. Floats are written as float.__repr__ writes them, with the fewest
+significant digits that json.loads parses back to the exact same
+double, and dict insertion order is kept.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -17,64 +19,57 @@ import numpy as np
 
 
 def format_float(x):
-    """Render a float so that parsing returns the identical double."""
+    """Render a float with the fewest digits that parse back to the identical double."""
     if not math.isfinite(x):
         raise ValueError("non-finite float in output: %r" % x)
-    s = "%.17g" % x
-    # keep the value typed as float on reload ("5" would come back int)
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    # float() first: numpy 2 would repr an np.float64 as "np.float64(...)"
+    return repr(float(x))
 
 
-def _write(value, parts):
-    # numpy scalars leak in from feature math; fold them into plain types
+def _fold(value):
+    # numpy scalars leak in from feature math; np.float64 is a float already
     if isinstance(value, np.bool_):
-        value = bool(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, str):
-        parts.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, float):
-        parts.append(format_float(value))
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, dict):
-        parts.append("{")
-        first = True
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise ValueError("object keys must be str, got %r" % (k,))
-            if not first:
-                parts.append(",")
-            first = False
-            parts.append(json.dumps(k, ensure_ascii=False))
-            parts.append(":")
-            _write(v, parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(value):
-            if i:
-                parts.append(",")
-            _write(v, parts)
-        parts.append("]")
-    else:
-        raise ValueError("cannot serialize %r" % type(value))
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise ValueError("cannot serialize %r" % type(value))
+
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False,
+                            default=_fold)
+
+
+def _pick(items, kinds):
+    """The items whose exact type is in kinds, selected at C level."""
+    return list(itertools.compress(items, map(kinds.__contains__, map(type, items))))
+
+
+def _check_keys(value):
+    """Raise ValueError for a non-str object key anywhere in value.
+
+    The encoder would write an int key as a string. The walk takes one
+    depth at a time, and every type test is a set(map(type, ...)) at C
+    level, so a row of scalars costs no Python call per value.
+    """
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        dicts = _pick(level, {t for t in kinds if issubclass(t, dict)})
+        if not all(issubclass(t, str) for t in set(map(type, itertools.chain(*dicts)))):
+            key = next(k for d in dicts for k in d if not isinstance(k, str))
+            raise ValueError("object keys must be str, got %r" % (key,))
+        members = list(itertools.chain(
+            *_pick(level, {t for t in kinds if issubclass(t, (list, tuple))}),
+            *map(dict.values, dicts)))
+        level = _pick(members, {t for t in set(map(type, members))
+                                if issubclass(t, (dict, list, tuple))})
 
 
 def dumps(value):
-    parts = []
-    _write(value, parts)
-    return "".join(parts)
+    _check_keys(value)
+    return _ENCODER.encode(value)
 
 
 def dump_file(value, path):

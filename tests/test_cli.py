@@ -279,9 +279,11 @@ def set_first_listing(index, value):
     return spoil
 
 
-def number_first_review_date(doc):
-    reviews = [rvs for rvs in doc["reviews"].values() if rvs]
-    reviews[0][0][1] = 20210314
+def set_first_review_date(value):
+    def spoil(doc):
+        reviews = [rvs for rvs in doc["reviews"].values() if rvs]
+        reviews[0][0][1] = value
+    return spoil
 
 
 @pytest.mark.parametrize("spoil,expected", [
@@ -297,8 +299,16 @@ def number_first_review_date(doc):
                  id="null accommodates"),
     pytest.param(set_first_listing(4, None),
                  "listings row 1: 'price_usd' must be float, got NoneType", id="null price"),
-    pytest.param(number_first_review_date, "reviews row 1: 'date' must be str, got int",
+    pytest.param(set_first_review_date(20210314), "reviews row 1: 'date' must be str, got int",
                  id="review date int"),
+    pytest.param(set_first_listing(9, "2015-13-01"),
+                 "listings row 1: 'host_since' must be an ISO date, got '2015-13-01'",
+                 id="host_since month 13"),
+    pytest.param(set_first_review_date("2021-02-30"),
+                 "reviews row 1: 'date' must be an ISO date, got '2021-02-30'",
+                 id="review date feb 30"),
+    pytest.param(set_first_review_date(""), "reviews row 1: 'date' must be an ISO date, got ''",
+                 id="review date empty"),
 ])
 def test_malformed_dataset_exits_2_naming_the_file(trained, tmp_path, caplog, spoil, expected):
     tmp, out, config = trained
@@ -420,3 +430,19 @@ def test_predict_refuses_a_schema_1_pipeline(trained, tmp_path, caplog):
     assert code == 2
     errors = error_lines(caplog)
     assert len(errors) == 1 and "schema_version 1" in errors[0], errors
+
+
+def test_a_neighbourhood_named_other_trains(tmp_path):
+    # "other" is also the catch-all category; the real one must not be ranked beside it
+    assert main(["synth", "--n", "100", "--cities", "1", "--seed", "3",
+                 "--out", str(tmp_path / "data")]) == 0
+    # eight listings, four of them in "other"
+    write_listings(tmp_path / "data" / "l.csv", tmp_path / "data" / "listings.csv",
+                   lambda i, row: None if i >= 8 else
+                   {**row, "neighbourhood_cleansed": "other"} if i < 4 else row)
+    (tmp_path / "data" / "l.csv").replace(tmp_path / "data" / "listings.csv")
+    config = base_config(tmp_path, tmp_path / "out")
+    assert main(["ingest", "--config", config]) == 0
+    assert main(["train", "--config", config]) == 0
+    categories = load_file(tmp_path / "out" / "pipeline.json")["neighbourhoods"]["categories"]
+    assert categories.count("other") == 1 and categories[-1] == "other"

@@ -34,14 +34,14 @@ def test_params_reject_unknown_key_and_wrong_type(kind):
 # report params as the parent commit's resolve_params wrote them
 GOLDEN = [
     ({"kind": "gbdt"},
-     '{"n_estimators":1000,"learning_rate":0.10000000000000001,"growth":"depth_wise",'
+     '{"n_estimators":1000,"learning_rate":0.1,"growth":"depth_wise",'
      '"max_depth":6,"num_leaves":31,"min_samples_leaf":20,"alpha":0.5,"lambda":1.0,'
      '"min_gain":0.0}'),
     ({"kind": "ridge", "lambda": 1}, '{"lambda":1.0}'),
     ({"kind": "mlp"}, '{"hidden_sizes":[64,32],"epochs":200,"batch_size":256,"step_size":0.001}'),
     # the benchmark's models entries
     ({"kind": "gbdt", "growth": "leaf_wise", "n_estimators": 35},
-     '{"n_estimators":35,"learning_rate":0.10000000000000001,"growth":"leaf_wise",'
+     '{"n_estimators":35,"learning_rate":0.1,"growth":"leaf_wise",'
      '"max_depth":6,"num_leaves":31,"min_samples_leaf":20,"alpha":0.5,"lambda":1.0,'
      '"min_gain":0.0}'),
     ({"kind": "ridge", "lambda": 1.0}, '{"lambda":1.0}'),
@@ -49,7 +49,7 @@ GOLDEN = [
      '{"hidden_sizes":[32],"epochs":4,"batch_size":256,"step_size":0.001}'),
     ({"kind": "gbdt", "growth": "depth_wise", "max_depth": 4, "min_samples_leaf": 5,
       "n_estimators": 150},
-     '{"n_estimators":150,"learning_rate":0.10000000000000001,"growth":"depth_wise",'
+     '{"n_estimators":150,"learning_rate":0.1,"growth":"depth_wise",'
      '"max_depth":4,"num_leaves":31,"min_samples_leaf":5,"alpha":0.5,"lambda":1.0,'
      '"min_gain":0.0}'),
 ]

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnbprice import serialize
 
@@ -70,3 +72,99 @@ def test_identical_doc_identical_bytes(tmp_path):
     serialize.dump_file(doc, a)
     serialize.dump_file(doc, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dumps_checks_keys_and_values_at_any_depth():
+    with pytest.raises(ValueError, match="keys must be str"):
+        serialize.dumps({"a": [1, ({"b": {2: "x"}},)]})
+    with pytest.raises(ValueError):
+        serialize.dumps([[0.5, {"c": [float("nan")]}]])
+    with pytest.raises(ValueError, match="cannot serialize"):
+        serialize.dumps({"a": [{1, 2}]})
+
+
+def test_format_float_writes_the_repr_of_the_float():
+    assert serialize.format_float(0.1) == "0.1"
+    assert serialize.format_float(np.float64(0.1)) == "0.1"
+    assert serialize.format_float(-0.0) == "-0.0"
+    assert serialize.format_float(1e22) == "1e+22"
+    assert serialize.format_float(5e-324) == "5e-324"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = FINITE | st.integers() | st.text() | st.booleans() | st.none()
+DOCS = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20)
+
+
+def assert_same(a, b):
+    """Equal with the same types, the same key order and bit-equal floats."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            assert_same(a[k], b[k])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, float):
+        assert a.hex() == b.hex()
+    else:
+        assert a == b
+
+
+def seventeen_digit_dumps(value):
+    """The writer's former float rule: "%.17g", plus ".0" where it would read back as an int."""
+    if isinstance(value, float):
+        text = "%.17g" % value
+        return text if "." in text or "e" in text else text + ".0"
+    if isinstance(value, dict):
+        return "{%s}" % ",".join(json.dumps(k, ensure_ascii=False) + ":" + seventeen_digit_dumps(v)
+                                 for k, v in value.items())
+    if isinstance(value, list):
+        return "[%s]" % ",".join(map(seventeen_digit_dumps, value))
+    return json.dumps(value, ensure_ascii=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCS)
+def test_any_document_round_trips_exactly(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    serialize.dump_file(doc, path)
+    assert_same(serialize.load_file(path), doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCS)
+def test_documents_in_the_seventeen_digit_text_load_to_the_same_values(doc):
+    assert_same(json.loads(seventeen_digit_dumps(doc)), json.loads(serialize.dumps(doc)))
+
+
+NUMPY_PAIRS = (FINITE.map(lambda x: (np.float64(x), x))
+               | st.floats(width=32, allow_nan=False, allow_infinity=False)
+               .map(lambda x: (np.float32(x), x))
+               | st.integers(-2**63, 2**63 - 1).map(lambda i: (np.int64(i), i))
+               | st.integers(0, 255).map(lambda i: (np.uint8(i), i))
+               | st.booleans().map(lambda b: (np.bool_(b), b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(NUMPY_PAIRS, max_size=6))
+def test_numpy_scalars_fold_to_their_plain_values(pairs):
+    folded = [value for _, value in pairs]
+    doc = {"list": [scalar for scalar, _ in pairs],
+           "dict": {str(i): scalar for i, (scalar, _) in enumerate(pairs)}}
+    plain = {"list": folded, "dict": {str(i): value for i, value in enumerate(folded)}}
+    assert serialize.dumps(doc) == serialize.dumps(plain)
+    assert_same(json.loads(serialize.dumps(doc)), plain)
+
+
+@given(x=FINITE)
+def test_format_float_writes_the_fewest_digits_that_round_trip(x):
+    text = serialize.format_float(x)
+    assert float(text).hex() == x.hex()
+    digits = len(text.split("e")[0].lstrip("-").replace(".", "").strip("0"))
+    assert digits <= 17
+    if digits > 1:  # rounded to one digit fewer, it reads back as another double
+        assert float("%.*e" % (digits - 2, x)) != x
