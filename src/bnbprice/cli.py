@@ -47,7 +47,7 @@ def _load_doc(path, from_doc, what):
         return from_doc(serialize.load_file(path))
     except (OSError, ValueError) as exc:
         raise CliError("cannot load %s %s: %s" % (what, path, exc))
-    except (KeyError, IndexError, TypeError) as exc:  # below the checked top-level keys
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:  # below the checked keys
         raise CliError("cannot load %s %s: %s %s" % (what, path, type(exc).__name__, exc))
 
 
@@ -178,7 +178,11 @@ def cmd_predict(args):
     out_dir = Path(args.out) if args.out else Path("out")
     pipeline_path = args.pipeline or out_dir / "pipeline.json"
     fitted = _load_doc(pipeline_path, transform.pipeline_from_doc, "pipeline")
-    model = _load_doc(args.model, model_from_doc, "model")
+    model, trained_with = _load_doc(
+        args.model, lambda doc: (model_from_doc(doc), doc["pipeline_sha256"]), "model")
+    if serialize.sha256_hex(Path(pipeline_path).read_bytes()) != trained_with:
+        raise CliError("model %s was not trained with pipeline %s: its pipeline_sha256 does "
+                       "not match the file" % (args.model, pipeline_path))
 
     listings, drops = _read_csv(args.listings, ingest.parse_listings, "predict",
                                 require_price=False)

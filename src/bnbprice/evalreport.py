@@ -177,7 +177,8 @@ def importance_svg(entries):
 def emit_report(run_results, out_dir, top_n=60, register=None):
     """Write report.json, importance files, pipeline and model files.
 
-    The importance chart ranks the model with the lowest validation MSE.
+    Each model file records the sha256 of the pipeline.json bytes. The
+    importance chart ranks the model with the lowest validation MSE.
     Each path is appended to register (when given) before its write
     starts, so a failing run can delete partial output. Returns the list
     of paths written.
@@ -216,8 +217,9 @@ def emit_report(run_results, out_dir, top_n=60, register=None):
     shown = entries[:top_n] if top_n is not None else entries
     with open(claim(out_dir / "importance.svg"), "w", encoding="utf-8") as fh:
         fh.write(importance_svg(shown))
-    serialize.dump_file(run_results.pipeline_doc, claim(out_dir / "pipeline.json"))
+    pipeline_sha256 = serialize.sha256_hex(
+        serialize.dump_file(run_results.pipeline_doc, claim(out_dir / "pipeline.json")))
     for i, m in enumerate(run_results.models):
         path = claim(out_dir / ("model_%d_%s.json" % (i, m.kind)))
-        serialize.dump_file(model_to_doc(m.model), path)
+        serialize.dump_file(model_to_doc(m.model, pipeline_sha256), path)
     return written

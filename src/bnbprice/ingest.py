@@ -237,6 +237,14 @@ def parse_reviews(csv_stream):
     return records, drops
 
 
+def _check_unique_ids(listings):
+    seen = set()
+    for rec in listings:
+        if rec.id in seen:
+            raise IngestError("duplicate listing id %d" % rec.id)
+        seen.add(rec.id)
+
+
 def join_dataset(listings, reviews, drops=None):
     """Group reviews under their listings, counting orphans.
 
@@ -244,11 +252,7 @@ def join_dataset(listings, reviews, drops=None):
     A duplicate listing id is fatal.
     """
     merged = dict(drops or {})
-    seen = set()
-    for rec in listings:
-        if rec.id in seen:
-            raise IngestError("duplicate listing id %d" % rec.id)
-        seen.add(rec.id)
+    _check_unique_ids(listings)
     grouped = {rec.id: [] for rec in listings}
     orphans = 0
     for review in reviews:
@@ -305,6 +309,13 @@ def _raise_bad_date(rows, j, name, where, optional):
                 where, number, name, reprlib.repr(row[j]), exc)) from None
 
 
+def _listing_key(key):
+    """The listing id of a reviews key, which dataset_to_doc writes as str(id)."""
+    if key.removeprefix("-").isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValueError("dataset: reviews key %r must be a listing id" % key)
+
+
 def dataset_from_doc(doc):
     version = field(doc, "schema_version", int, "dataset")
     if version != 1:
@@ -312,6 +323,7 @@ def dataset_from_doc(doc):
     rows = field(doc, "listings", list, "dataset")
     check_rows(rows, _LISTING_COLUMNS, "dataset: listings")
     grouped = field(doc, "reviews", dict, "dataset")
+    lids = list(map(_listing_key, grouped))
     review_rows = [rv for rvs in grouped.values() for rv in rvs]
     check_rows(review_rows, _REVIEW_COLUMNS, "dataset: reviews")
     try:
@@ -327,15 +339,16 @@ def dataset_from_doc(doc):
             for row in rows
         )
         reviews = {
-            int(lid): tuple(ReviewRecord(listing_id=int(lid), review_id=rv[0],
-                                         date=date.fromisoformat(rv[1]), comments=rv[2])
-                            for rv in rvs)
-            for lid, rvs in grouped.items()
+            lid: tuple(ReviewRecord(listing_id=lid, review_id=rv[0],
+                                    date=date.fromisoformat(rv[1]), comments=rv[2])
+                       for rv in rvs)
+            for lid, rvs in zip(lids, grouped.values())
         }
     except ValueError:
         # the bad row is looked for only after a failure, so a well-formed file pays nothing
         _raise_bad_date(rows, 9, "host_since", "dataset: listings", optional=True)
         _raise_bad_date(review_rows, 1, "date", "dataset: reviews", optional=False)
         raise
+    _check_unique_ids(listings)
     return Dataset(listings=listings, reviews_by_listing=reviews,
                    drop_log=dict(field(doc, "drop_log", dict, "dataset")))

@@ -73,7 +73,9 @@ class GbdtParams:
 class Tree:
     """Flat node arrays; feature[i] == -1 marks a leaf whose output is value[i]."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    # array name -> element type; model files store each array under its name
+    ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
+    __slots__ = tuple(ARRAYS)
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=np.int64)

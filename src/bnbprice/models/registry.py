@@ -4,17 +4,18 @@ The kind classes look this module's fit and predict functions up by name
 at call time, so replacing one here (as benchmark/tracer.py does) takes
 effect for its kind. Model files are versioned JSON documents; a file
 read back predicts byte-identically because every float survives the
-round trip exactly.
+round trip exactly. A GBDT file stores each tree as its Tree arrays, and
+every model file names the sha256 of the pipeline.json written with it.
 """
 
 import numpy as np
 
 from ..serialize import dataclass_from_doc, dataclass_to_doc, field
-from .gbdt import GbdtModel, GbdtParams, Tree, _Builder, gbdt_fit, gbdt_predict
+from .gbdt import GbdtModel, GbdtParams, Tree, gbdt_fit, gbdt_predict
 from .mlp import MlpModel, MlpParams, mlp_fit, mlp_predict
 from .ridge import RidgeModel, RidgeParams, ridge_fit, ridge_predict
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 def params_from_entry(kind, entry):
@@ -30,37 +31,23 @@ def _doc_params(cls, doc):
                               required=True)
 
 
-def _tree_to_doc(tree):
-    n = tree.feature.shape[0]
-    docs = [None] * n
-    # children always sit after their parent in the flat arrays
-    for i in range(n - 1, -1, -1):
-        if tree.feature[i] < 0:
-            docs[i] = {"value": float(tree.value[i])}
-        else:
-            docs[i] = {"feature_index": int(tree.feature[i]),
-                       "threshold": float(tree.threshold[i]),
-                       "left": docs[tree.left[i]],
-                       "right": docs[tree.right[i]]}
-    return docs[0]
-
-
-def _tree_from_doc(doc):
-    b = _Builder()
-    stack = [(doc, None, -1)]  # (node doc, the parent's b.left or b.right, parent id)
-    while stack:
-        node_doc, side, parent = stack.pop()
-        node_id = b.new_node()
-        if side is not None:
-            side[parent] = node_id
-        if isinstance(node_doc, dict) and "value" in node_doc:
-            b.value[node_id] = field(node_doc, "value", float, "tree node")
-        else:
-            b.feature[node_id] = field(node_doc, "feature_index", int, "tree node")
-            b.threshold[node_id] = field(node_doc, "threshold", float, "tree node")
-            stack.append((field(node_doc, "right", dict, "tree node"), b.right, node_id))
-            stack.append((field(node_doc, "left", dict, "tree node"), b.left, node_id))
-    return Tree(b.feature, b.threshold, b.left, b.right, b.value)
+def _tree_from_doc(doc, n_features, where):
+    """Tree from its node arrays, checked so that predict_rows always ends at a leaf."""
+    tree = Tree(*(field(doc, name, list[t], where) for name, t in Tree.ARRAYS.items()))
+    n = len(tree.feature)
+    if n == 0 or any(len(getattr(tree, name)) != n for name in Tree.__slots__):
+        raise ValueError("%s: node arrays must be non-empty and of equal length" % where)
+    if tree.feature.min() < -1 or tree.feature.max() >= n_features:
+        raise ValueError("%s: feature ids must lie in [-1, %d)" % (where, n_features))
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        raise ValueError("%s: thresholds and values must be finite" % where)
+    inner = np.flatnonzero(tree.feature >= 0)
+    # every step down moves to a later node, so no walk can cycle
+    for child in (tree.left[inner], tree.right[inner]):
+        if not ((inner < child) & (child < n)).all():
+            raise ValueError("%s: children must lie after their node and inside the tree"
+                             % where)
+    return tree
 
 
 class Ridge:
@@ -105,14 +92,16 @@ class Gbdt:
                 "n_features": model.n_features,
                 "base_score": model.base_score,
                 "feature_gain": [float(v) for v in model.feature_gain],
-                "trees": [_tree_to_doc(t) for t in model.trees]}
+                "trees": [{name: getattr(t, name).tolist() for name in Tree.__slots__}
+                          for t in model.trees]}
 
     def from_doc(self, doc):
         params = _doc_params(GbdtParams, doc)
-        trees = [_tree_from_doc(t) for t in field(doc, "trees", list, "model")]
+        n_features = field(doc, "n_features", int, "model")
+        trees = [_tree_from_doc(t, n_features, "model tree %d" % i)
+                 for i, t in enumerate(field(doc, "trees", list, "model"))]
         return GbdtModel(field(doc, "base_score", float, "model"), trees, params,
-                         field(doc, "feature_gain", list, "model"),
-                         field(doc, "n_features", int, "model"))
+                         field(doc, "feature_gain", list, "model"), n_features)
 
 
 class Mlp:
@@ -161,9 +150,12 @@ def predict_model(model, X):
     return KINDS[kind_of(model)].predict(model, X)
 
 
-def model_to_doc(model):
+def model_to_doc(model, pipeline_sha256):
+    """The model's file document, naming the hex sha256 of the pipeline.json bytes
+    written beside it, which predict checks."""
     kind = kind_of(model)
-    return {"schema_version": MODEL_SCHEMA_VERSION, "kind": kind, **KINDS[kind].to_doc(model)}
+    return {"schema_version": MODEL_SCHEMA_VERSION, "kind": kind,
+            "pipeline_sha256": pipeline_sha256, **KINDS[kind].to_doc(model)}
 
 
 def model_from_doc(doc):
@@ -174,4 +166,5 @@ def model_from_doc(doc):
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError("unknown model kind %r" % kind)
+    field(doc, "pipeline_sha256", str, "model")
     return KINDS[kind].from_doc(doc)

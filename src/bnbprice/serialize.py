@@ -17,6 +17,16 @@ import typing
 
 import numpy as np
 
+# the interpreter's own sha256: hashlib would map OpenSSL, about 4 MB more
+# resident memory in every command
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:  # an interpreter built without its own digests
+        from hashlib import sha256 as _sha256
+
 
 def format_float(x):
     """Render a float with the fewest digits that parse back to the identical double."""
@@ -73,9 +83,16 @@ def dumps(value):
 
 
 def dump_file(value, path):
+    """Write value and a newline to path; returns the bytes written."""
+    blob = dumps(value).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
-        fh.write(dumps(value).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(blob)
+    return blob
+
+
+def sha256_hex(blob):
+    """The sha256 of blob in hex, as sha256sum prints it."""
+    return _sha256(blob).hexdigest()
 
 
 def load_file(path):
@@ -87,7 +104,10 @@ def _matches(value, annotation):
     """isinstance against a type annotation; ints pass as floats, bools only as bools."""
     if typing.get_origin(annotation) is list:
         item = typing.get_args(annotation)[0]
-        return isinstance(value, list) and all(_matches(v, item) for v in value)
+        # one C-level type pass spares a well-formed list the per-item rule
+        return isinstance(value, list) and (
+            set(map(type, value)) <= set(typing.get_args(item) or (item,))
+            or all(_matches(v, item) for v in value))
     allowed = typing.get_args(annotation) or (annotation,)
     if isinstance(value, bool):
         return bool in allowed

@@ -1,11 +1,17 @@
-"""The benchmark's tracer wraps public functions by (module, attribute).
+"""What the benchmark relies on in the program.
 
-A renamed or deleted target would only fail the benchmark's traced run,
-so this checks that each one still resolves to a callable.
+The tracer wraps public functions by (module, attribute), and run.py's
+oracles read a GBDT's first root split and tree count from a loaded
+model. A renamed target or a changed model layout would only fail the
+benchmark's own runs, so these check both here.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from bnbprice.models import GbdtParams, find_best_split, gbdt_fit, model_from_doc, model_to_doc
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
 
@@ -18,3 +24,16 @@ def test_every_tracer_target_resolves():
     missing = [name for name, module, attr, _ in tracer.TARGETS
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_loaded_gbdt_exposes_root_split_and_tree_count():
+    rng = np.random.RandomState(2)
+    X = rng.randn(60, 3)
+    y = X[:, 1] + 0.1 * rng.randn(60)
+    params = GbdtParams(n_estimators=3, max_depth=2, min_samples_leaf=5)
+    model = model_from_doc(model_to_doc(gbdt_fit(X, y, params), "0" * 64))
+    tree = model.trees[0]
+    feature, threshold, _ = find_best_split(np.arange(60), X, y - y.mean(), params)
+    assert (int(tree.feature[0]), float(tree.threshold[0])) == (feature, threshold)
+    assert len(model.trees) == 3
+    assert sum(int((t.feature >= 0).sum()) for t in model.trees) > 0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -182,10 +183,15 @@ def test_unreadable_input_csv_exits_2(tmp_path):
     assert not (tmp_path / "o" / "dataset.json").exists()
 
 
-def test_predict_feature_width_mismatch_exits_2(trained, tmp_path):
+def pipeline_sha256(out):
+    return hashlib.sha256((out / "pipeline.json").read_bytes()).hexdigest()
+
+
+def test_predict_feature_width_mismatch_exits_2(trained, tmp_path, caplog):
     tmp, out, config = trained
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps({"schema_version": 1, "kind": "ridge",
+    bad.write_text(json.dumps({"schema_version": 2, "kind": "ridge",
+                               "pipeline_sha256": pipeline_sha256(out),
                                "params": {"lambda": 1.0},
                                "coefficients": [1.0, 2.0], "intercept": 0.0}))
     code = main(["predict", "--out", str(tmp_path / "p"),
@@ -193,6 +199,8 @@ def test_predict_feature_width_mismatch_exits_2(trained, tmp_path):
                  "--model", str(bad),
                  "--listings", str(tmp / "data" / "listings.csv")])
     assert code == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "expected 2 features" in errors[0], errors
     assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
@@ -225,7 +233,8 @@ def test_mistyped_config_field_exits_2_with_one_line(tmp_path, caplog):
 def test_predict_malformed_model_doc_exits_2(trained, tmp_path, caplog):
     tmp, out, config = trained
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps({"schema_version": 1, "kind": "ridge"}))
+    bad.write_text(json.dumps({"schema_version": 2, "kind": "ridge",
+                               "pipeline_sha256": pipeline_sha256(out)}))
     code = main(["predict", "--out", str(tmp_path / "p"),
                  "--pipeline", str(out / "pipeline.json"),
                  "--model", str(bad),
@@ -286,8 +295,20 @@ def set_first_review_date(value):
     return spoil
 
 
+def repeat_first_id(doc):
+    doc["listings"][1][0] = doc["listings"][0][0]
+
+
+def rename_first_reviews_key(doc):
+    reviews = doc["reviews"]
+    reviews["x1"] = reviews.pop(next(iter(reviews)))
+
+
 @pytest.mark.parametrize("spoil,expected", [
     (drop_key("drop_log"), "missing key 'drop_log'"),
+    pytest.param(repeat_first_id, "duplicate listing id 1", id="duplicate listing id"),
+    pytest.param(rename_first_reviews_key, "dataset: reviews key 'x1' must be a listing id",
+                 id="reviews key x1"),
     pytest.param(truncate_first_listing, "listings row 1: expected a list of 14 values",
                  id="truncate_first_listing-short row"),
     pytest.param(set_first_listing(2, "abc"),
@@ -430,6 +451,54 @@ def test_predict_refuses_a_schema_1_pipeline(trained, tmp_path, caplog):
     assert code == 2
     errors = error_lines(caplog)
     assert len(errors) == 1 and "schema_version 1" in errors[0], errors
+
+
+def set_tree_node(array, node, value):
+    def spoil(doc):
+        doc["trees"][0][array][node] = value
+    return spoil
+
+
+@pytest.mark.parametrize("spoil,expected", [
+    pytest.param(set_tree_node("feature", 0, 999), "model tree 0: feature ids must lie in",
+                 id="feature 999"),
+    pytest.param(set_tree_node("feature", 0, -3), "model tree 0: feature ids must lie in",
+                 id="feature -3"),
+    pytest.param(set_tree_node("right", 0, 0), "model tree 0: children must lie after",
+                 id="self child"),
+    pytest.param(set_tree_node("left", 0, 2 ** 70), "OverflowError", id="huge child"),
+])
+def test_predict_malformed_tree_exits_2_with_one_line(trained, tmp_path, caplog, spoil,
+                                                      expected):
+    tmp, out, config = trained
+    doc = load_file(out / "model_1_gbdt.json")
+    spoil(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["predict", "--out", str(tmp_path / "p"),
+                 "--pipeline", str(out / "pipeline.json"), "--model", str(bad),
+                 "--listings", str(tmp / "data" / "listings.csv")])
+    assert code == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
+    assert "\n" not in errors[0]
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def test_predict_refuses_a_pipeline_from_another_train(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    # the same pipeline in other bytes passes its own checks but is not the file trained with
+    other = tmp_path / "pipeline.json"
+    other.write_text(json.dumps(load_file(out / "pipeline.json"), indent=1))
+    model = out / "model_1_gbdt.json"
+    assert load_file(model)["pipeline_sha256"] == pipeline_sha256(out)
+    code = main(["predict", "--out", str(tmp_path / "p"), "--pipeline", str(other),
+                 "--model", str(model), "--listings", str(tmp / "data" / "listings.csv")])
+    assert code == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and str(other) in errors[0] and str(model) in errors[0], errors
+    assert "pipeline_sha256" in errors[0]
+    assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
 def test_a_neighbourhood_named_other_trains(tmp_path):

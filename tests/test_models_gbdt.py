@@ -11,6 +11,8 @@ from bnbprice.models import gbdt
 from bnbprice.models.registry import model_from_doc, model_to_doc
 from bnbprice.serialize import dumps
 
+# model files name the pipeline they were trained with; these models have none
+PIPELINE_SHA256 = "0" * 64
 
 HAND_X = np.array([[0.0], [0.0], [1.0], [1.0]])
 HAND_Y = np.array([0.0, 0.0, 10.0, 10.0])
@@ -338,9 +340,9 @@ def test_persistence_round_trip_is_byte_identical():
     params = gbdt.GbdtParams(n_estimators=10, learning_rate=0.2, growth="leaf_wise",
                              num_leaves=6, min_samples_leaf=4, alpha=0.2, lam=0.5)
     model = gbdt.gbdt_fit(X, y, params)
-    doc = model_to_doc(model)
+    doc = model_to_doc(model, PIPELINE_SHA256)
     clone = model_from_doc(doc)
-    assert dumps(model_to_doc(clone)) == dumps(doc)
+    assert dumps(model_to_doc(clone, PIPELINE_SHA256)) == dumps(doc)
     assert np.array_equal(gbdt.gbdt_predict(clone, X), gbdt.gbdt_predict(model, X))
 
 
@@ -351,7 +353,7 @@ def test_fit_twice_same_serialized_bytes():
     params = hand_params(n_estimators=4, max_depth=3, min_samples_leaf=2)
     a = gbdt.gbdt_fit(X, y, params)
     b = gbdt.gbdt_fit(X, y, params)
-    assert dumps(model_to_doc(a)) == dumps(model_to_doc(b))
+    assert dumps(model_to_doc(a, PIPELINE_SHA256)) == dumps(model_to_doc(b, PIPELINE_SHA256))
 
 
 @pytest.mark.parametrize("growth", ["depth_wise", "leaf_wise"])
@@ -369,9 +371,10 @@ def test_whole_trees_match_reference_grower(growth, min_samples_leaf):
             num_leaves=6, min_samples_leaf=min_samples_leaf,
             alpha=float(rng.choice([0.0, 0.2])), lam=float(rng.choice([0.0, 1.0])),
             min_gain=float(rng.choice([0.0, 0.05])))
-        want = dumps(model_to_doc(reference_fit(X, y, params)))
+        want = dumps(model_to_doc(reference_fit(X, y, params), PIPELINE_SHA256))
         got = gbdt.gbdt_fit(X, y, params)
-        assert dumps(model_to_doc(got)) == want, (growth, min_samples_leaf, trial)
+        got_doc = model_to_doc(got, PIPELINE_SHA256)
+        assert dumps(got_doc) == want, (growth, min_samples_leaf, trial)
 
 
 @settings(max_examples=100, deadline=None)

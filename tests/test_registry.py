@@ -5,6 +5,8 @@ from bnbprice.models import (KINDS, fit_model, model_from_doc, model_to_doc, par
                              predict_model)
 from bnbprice.serialize import dataclass_to_doc, dumps
 
+PIPELINE_SHA256 = "0" * 64
+
 
 def tiny_matrix():
     rng = np.random.RandomState(4)
@@ -16,9 +18,9 @@ def tiny_matrix():
 def test_default_fit_round_trips_through_its_doc(kind):
     X, y = tiny_matrix()
     model = fit_model(kind, {}, X, y, seed=1)
-    blob = dumps(model_to_doc(model))
-    clone = model_from_doc(model_to_doc(model))
-    assert dumps(model_to_doc(clone)) == blob
+    blob = dumps(model_to_doc(model, PIPELINE_SHA256))
+    clone = model_from_doc(model_to_doc(model, PIPELINE_SHA256))
+    assert dumps(model_to_doc(clone, PIPELINE_SHA256)) == blob
     assert np.array_equal(predict_model(clone, X), predict_model(model, X))
 
 
@@ -63,7 +65,65 @@ def test_report_params_keep_defaults_and_key_order(entry, golden):
 
 def test_model_doc_missing_a_gbdt_param_is_rejected():
     X, y = tiny_matrix()
-    doc = model_to_doc(fit_model("gbdt", {"n_estimators": 2}, X, y))
+    doc = model_to_doc(fit_model("gbdt", {"n_estimators": 2}, X, y), PIPELINE_SHA256)
     del doc["params"]["min_gain"]
     with pytest.raises(ValueError, match="model params: missing key 'min_gain'"):
+        model_from_doc(doc)
+
+
+def gbdt_doc():
+    """A two-tree model whose second tree has inner nodes 0, 1 and 2 and leaf 3."""
+    X, y = tiny_matrix()
+    doc = model_to_doc(fit_model("gbdt", {"n_estimators": 2, "max_depth": 2,
+                                          "min_samples_leaf": 3}, X, y), PIPELINE_SHA256)
+    feature = doc["trees"][1]["feature"]
+    assert min(feature[:3]) >= 0 and feature[3] == -1
+    return doc
+
+
+def set_node(array, node, value):
+    def spoil(tree):
+        tree[array][node] = value
+    return spoil
+
+
+def drop_array(array):
+    return lambda tree: tree.pop(array)
+
+
+def shorten(array):
+    return lambda tree: tree[array].pop()
+
+
+@pytest.mark.parametrize("spoil,expected", [
+    pytest.param(set_node("feature", 0, 999), r"feature ids must lie in \[-1, 3\)",
+                 id="feature 999"),
+    pytest.param(set_node("feature", 0, -3), r"feature ids must lie in \[-1, 3\)",
+                 id="feature -3 on an inner node"),
+    pytest.param(set_node("left", 0, 0), "children must lie after their node", id="self child"),
+    pytest.param(set_node("left", 2, 1), "children must lie after their node",
+                 id="backward child"),
+    pytest.param(set_node("feature", 3, 0), "children must lie after their node",
+                 id="leaf made inner"),
+    pytest.param(set_node("right", 0, 99), "inside the tree", id="child outside the tree"),
+    pytest.param(shorten("value"), "equal length", id="unequal array lengths"),
+    pytest.param(set_node("threshold", 0, float("nan")), "must be finite", id="nan threshold"),
+    pytest.param(set_node("value", 4, float("inf")), "must be finite", id="infinite leaf"),
+    pytest.param(set_node("feature", 0, True), "key 'feature' must be list of int, got list",
+                 id="bool in feature"),
+    pytest.param(drop_array("threshold"), "missing key 'threshold'", id="missing array"),
+    pytest.param(lambda tree: [tree[k].clear() for k in tree], "non-empty", id="empty tree"),
+])
+def test_malformed_tree_is_rejected_naming_the_tree(spoil, expected):
+    doc = gbdt_doc()
+    spoil(doc["trees"][1])
+    with pytest.raises(ValueError, match="model tree 1: .*" + expected):
+        model_from_doc(doc)
+
+
+def test_model_doc_without_pipeline_sha256_is_rejected():
+    X, y = tiny_matrix()
+    doc = model_to_doc(fit_model("ridge", {}, X, y), PIPELINE_SHA256)
+    del doc["pipeline_sha256"]
+    with pytest.raises(ValueError, match="model: missing key 'pipeline_sha256'"):
         model_from_doc(doc)

@@ -168,3 +168,15 @@ def test_format_float_writes_the_fewest_digits_that_round_trip(x):
     assert digits <= 17
     if digits > 1:  # rounded to one digit fewer, it reads back as another double
         assert float("%.*e" % (digits - 2, x)) != x
+
+
+SCALARS = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3),
+                    st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(SCALARS, max_size=6),
+       item=st.sampled_from([int, float, str, bool, str | None, float | None]))
+def test_list_fast_path_agrees_with_the_per_item_rule(values, item):
+    assert serialize._matches(values, list[item]) == all(
+        serialize._matches(v, item) for v in values)
