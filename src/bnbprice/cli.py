@@ -5,6 +5,7 @@ partial outputs of the failing command are removed and the code is 2.
 """
 
 import argparse
+import contextlib
 import csv
 import logging
 import math
@@ -24,17 +25,25 @@ class CliError(ValueError):
     """User-facing command error, reported and mapped to exit code 2."""
 
 
-def _claim(outputs, path):
-    outputs.append(Path(path))
-    return Path(path)
+@contextlib.contextmanager
+def _claiming():
+    """Yield claim(path), which records path and returns it as a Path; when the
+    block raises, every claimed file is removed."""
+    outputs = []
 
+    def claim(path):
+        outputs.append(Path(path))
+        return outputs[-1]
 
-def _discard(outputs):
-    for p in outputs:
-        try:
-            p.unlink()
-        except OSError:
-            pass
+    try:
+        yield claim
+    except BaseException:
+        for path in outputs:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        raise
 
 
 def _load_cfg(args):
@@ -52,10 +61,12 @@ def _load_doc(path, from_doc, what):
 
 
 def _read_csv(path, parse, *extra, **options):
+    """parse(open file, ...); an unreadable, undecodable or malformed file is a CliError
+    naming it."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return parse(fh, *extra, **options)
-    except OSError as exc:
+    except (OSError, csv.Error, UnicodeDecodeError, ingest.IngestError) as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
 
 
@@ -80,14 +91,10 @@ def cmd_ingest(args):
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    try:
+    with _claiming() as claim:
         dataset_path = Path(cfg.dataset) if cfg.dataset else out_dir / "dataset.json"
-        serialize.dump_file(ingest.dataset_to_doc(dataset), _claim(outputs, dataset_path))
-        serialize.dump_file(dataset.drop_log, _claim(outputs, out_dir / "drop_log.json"))
-    except BaseException:
-        _discard(outputs)
-        raise
+        serialize.dump_file(ingest.dataset_to_doc(dataset), claim(dataset_path))
+        serialize.dump_file(dataset.drop_log, claim(out_dir / "drop_log.json"))
     n_reviews = sum(len(v) for v in dataset.reviews_by_listing.values())
     log.info("ingested %d listings and %d reviews from %d city file pairs (%d rows dropped)",
              len(dataset.listings), n_reviews, len(cfg.cities),
@@ -154,22 +161,17 @@ def cmd_train(args):
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    try:
-        written = evalreport.emit_report(results, out_dir, cfg.importance_top_n,
-                                         register=outputs)
+    with _claiming() as claim:
+        written = evalreport.emit_report(results, out_dir, cfg.importance_top_n, claim=claim)
         if cfg.cluster_svg:
             points = np.array([[dataset.listings[i].latitude,
                                 dataset.listings[i].longitude]
                                for i in split.train])
             labels = geofeat.assign_all(points, fitted.clusters)
-            path = _claim(outputs, out_dir / "clusters.svg")
+            path = claim(out_dir / "clusters.svg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(geofeat.clusters_svg(points, labels, fitted.clusters))
             written.append(path)
-    except BaseException:
-        _discard(outputs)
-        raise
     log.info("wrote %d report files to %s", len(written), out_dir)
     return 0
 
@@ -196,20 +198,16 @@ def cmd_predict(args):
     pred = predict_model(model, matrix.values)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    try:
-        path = _claim(outputs, out_dir / "predictions.csv")
+    with _claiming() as claim:
+        path = claim(out_dir / "predictions.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("id,ln_price_pred,price_pred\n")
             for lid, ln_pred in zip(matrix.ids, pred):
                 fh.write("%d,%s,%s\n" % (lid, serialize.format_float(ln_pred),
                                          serialize.format_float(math.exp(ln_pred))))
-        drops_path = _claim(outputs, out_dir / "predict_drops.csv")
+        drops_path = claim(out_dir / "predict_drops.csv")
         with open(drops_path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([ingest.Drop._fields, *drops])
-    except BaseException:
-        _discard(outputs)
-        raise
     log.info("wrote %d predictions to %s", len(matrix.ids), path)
     if dropped or dataset.drop_log:
         log.info("listing rows dropped: %s, listed in %s; review rows not used: %s",
@@ -228,16 +226,11 @@ def cmd_synth(args):
     listings, reviews, truth = synth.generate(spec)
     out_dir = Path(args.out) if args.out else Path("synth")
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    try:
+    with _claiming() as claim:
         for name, blob in (("listings.csv", listings), ("reviews.csv", reviews),
                            ("truth.csv", truth)):
-            path = _claim(outputs, out_dir / name)
-            with open(path, "wb") as fh:
+            with open(claim(out_dir / name), "wb") as fh:
                 fh.write(blob)
-    except BaseException:
-        _discard(outputs)
-        raise
     log.info("generated %d listings across %d cities in %s",
              spec.n_listings, spec.n_cities, out_dir)
     return 0

@@ -7,8 +7,10 @@ report.json so a run can be reproduced from its own report.
 import json
 from dataclasses import dataclass, field
 
+from .geofeat import GEO_METRICS
 from .models.registry import params_from_entry
 from .serialize import dataclass_from_doc
+from .transform import SCALER_KINDS
 
 
 class ConfigError(ValueError):
@@ -24,9 +26,6 @@ DEFAULT_SCALER_MAP = {
 }
 
 DEFAULT_ROOM_TYPES = ["Shared room", "Private room", "Hotel room", "Entire home/apt"]
-
-SCALER_KINDS = ("minmax", "standard", "robust")
-GEO_METRICS = ("euclidean", "haversine")
 
 
 @dataclass

@@ -9,6 +9,7 @@ import html
 import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -174,23 +175,16 @@ def importance_svg(entries):
     return "\n".join(parts) + "\n"
 
 
-def emit_report(run_results, out_dir, top_n=60, register=None):
+def emit_report(run_results, out_dir, top_n=60, claim=Path):
     """Write report.json, importance files, pipeline and model files.
 
     Each model file records the sha256 of the pipeline.json bytes. The
     importance chart ranks the model with the lowest validation MSE.
-    Each path is appended to register (when given) before its write
+    Each path goes through claim, which returns it, before its write
     starts, so a failing run can delete partial output. Returns the list
     of paths written.
     """
     written = []
-
-    def claim(path):
-        if register is not None:
-            register.append(path)
-        written.append(path)
-        return path
-
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset_summary": run_results.dataset_summary,
@@ -203,23 +197,27 @@ def emit_report(run_results, out_dir, top_n=60, register=None):
         "grid": list(run_results.grid),
         "config": run_results.config_doc,
     }
-    serialize.dump_file(report, claim(out_dir / "report.json"))
+    written.append(claim(out_dir / "report.json"))
+    serialize.dump_file(report, written[-1])
 
     # the first of equal lowest validation MSEs
     best = min(run_results.models, key=lambda m: m.val.mse)
     entries = feature_importance(best.model, run_results.columns)
-    with open(claim(out_dir / "importance.csv"), "w", encoding="utf-8", newline="") as fh:
+    written.append(claim(out_dir / "importance.csv"))
+    with open(written[-1], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "feature", "score"])
         for e in entries:
             writer.writerow([e.rank, e.feature, serialize.format_float(e.score)])
 
     shown = entries[:top_n] if top_n is not None else entries
-    with open(claim(out_dir / "importance.svg"), "w", encoding="utf-8") as fh:
+    written.append(claim(out_dir / "importance.svg"))
+    with open(written[-1], "w", encoding="utf-8") as fh:
         fh.write(importance_svg(shown))
+    written.append(claim(out_dir / "pipeline.json"))
     pipeline_sha256 = serialize.sha256_hex(
-        serialize.dump_file(run_results.pipeline_doc, claim(out_dir / "pipeline.json")))
+        serialize.dump_file(run_results.pipeline_doc, written[-1]))
     for i, m in enumerate(run_results.models):
-        path = claim(out_dir / ("model_%d_%s.json" % (i, m.kind)))
-        serialize.dump_file(model_to_doc(m.model, pipeline_sha256), path)
+        written.append(claim(out_dir / ("model_%d_%s.json" % (i, m.kind))))
+        serialize.dump_file(model_to_doc(m.model, pipeline_sha256), written[-1])
     return written

@@ -2,6 +2,7 @@
 
 import math
 import random
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,8 @@ EARTH_RADIUS_KM = 6371.0
 
 # reserved category for listings whose neighbourhood field is absent
 MISSING_NEIGHBOURHOOD = "(missing)"
+
+GEO_METRICS = ("euclidean", "haversine")
 
 
 def haversine_km(a, b):
@@ -56,11 +59,19 @@ def _distance_matrix(points, centroids, metric):
 
 @dataclass(frozen=True)
 class ClusterModel:
-    centroids: np.ndarray  # (k, 2) latitude/longitude in degrees
+    centroids: list[list[float]]  # (k, 2) latitude/longitude in degrees, an ndarray
     metric: str
     k: int
     seed: int
     iterations_run: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=float))
+        if self.k < 1 or self.centroids.shape != (self.k, 2):
+            raise ValueError("centroids must have shape (k, 2) = (%d, 2), got %s"
+                             % (self.k, self.centroids.shape))
+        if self.metric not in GEO_METRICS:
+            raise ValueError("metric must be one of %s, got %r" % (GEO_METRICS, self.metric))
 
 
 def kmeans_fit(points, k, metric="euclidean", seed=0, max_iter=100, tol=1e-6):
@@ -158,8 +169,15 @@ def assign_all(points, model):
 
 @dataclass(frozen=True)
 class NeighbourhoodStats:
-    categories: tuple  # top-N names plus a trailing "other"
-    counts: dict       # every observed training value -> listing count
+    categories: list[str]   # top-N names plus a trailing "other", a tuple
+    counts: dict[str, int]  # every observed training value -> listing count
+
+    def __post_init__(self):
+        names = tuple(self.categories)
+        object.__setattr__(self, "categories", names)
+        if names[-1:] != ("other",) or len(set(names)) != len(names):
+            raise ValueError("categories must be distinct and end with 'other', got %s"
+                             % reprlib.repr(names))
 
 
 def fit_neighbourhood_stats(train_listings, top_n=25):

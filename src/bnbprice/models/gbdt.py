@@ -70,19 +70,32 @@ class GbdtParams:
             raise ValueError("alpha, lambda and min_gain must be >= 0")
 
 
+@dataclass(eq=False)
 class Tree:
     """Flat node arrays; feature[i] == -1 marks a leaf whose output is value[i]."""
 
-    # array name -> element type; model files store each array under its name
-    ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
-    __slots__ = tuple(ARRAYS)
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    value: list[float]
 
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=float)
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=float)
+        self.left = np.asarray(self.left, dtype=np.int64)
+        self.right = np.asarray(self.right, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=float)
+        n = len(self.feature)
+        if n == 0 or {len(a) for a in (self.threshold, self.left, self.right, self.value)} != {n}:
+            raise ValueError("node arrays must be non-empty and of equal length")
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.value).all()):
+            raise ValueError("thresholds and values must be finite")
+        inner = np.flatnonzero(self.feature >= 0)
+        # every step down moves to a later node, so no walk can cycle
+        for child in (self.left[inner], self.right[inner]):
+            if not ((inner < child) & (child < n)).all():
+                raise ValueError("children must lie after their node and inside the tree")
 
     def predict_rows(self, X):
         node = np.zeros(X.shape[0], dtype=np.int64)
@@ -97,14 +110,23 @@ class Tree:
         return self.value[node]
 
 
+@dataclass(eq=False)
 class GbdtModel:
-    def __init__(self, base_score, trees, params, feature_gain, n_features):
-        self.base_score = float(base_score)
-        self.trees = list(trees)
-        self.params = params
-        self.feature_gain = np.asarray(feature_gain, dtype=float)
-        self.n_features = int(n_features)
-        self.train_mse = []  # per-round training MSE, diagnostic only
+    params: GbdtParams
+    n_features: int
+    base_score: float
+    feature_gain: list[float]  # an ndarray, one total split gain per feature
+    trees: list[Tree]
+    train_mse: list = field(default_factory=list, init=False)  # per round, diagnostic only
+
+    def __post_init__(self):
+        self.feature_gain = np.asarray(self.feature_gain, dtype=float)
+        if self.feature_gain.shape != (self.n_features,):
+            raise ValueError("feature_gain has %d entries for %d features"
+                             % (self.feature_gain.size, self.n_features))
+        for i, tree in enumerate(self.trees):
+            if tree.feature.min() < -1 or tree.feature.max() >= self.n_features:
+                raise ValueError("tree %d: feature ids must lie in [-1, %d)" % (i, self.n_features))
 
 
 def _candidates(I, XT, min_samples_leaf):
@@ -322,7 +344,7 @@ def gbdt_fit(X, y, params):
             raise InvariantError("training MSE increased from %r to %r" % (prev_mse, mse))
         history.append(mse)
         prev_mse = mse
-    model = GbdtModel(base, trees, params, feature_gain, m)
+    model = GbdtModel(params, m, base, feature_gain, trees)
     model.train_mse = history
     return model
 

@@ -20,11 +20,31 @@ class MlpParams:
     step_size: float = 1e-3
 
 
+@dataclass(frozen=True)
+class MlpShape:
+    """An MLP model file's params: its layer sizes, input first."""
+
+    layer_sizes: list[int]
+
+
+@dataclass(eq=False)
 class MlpModel:
-    def __init__(self, layer_sizes, weights, biases):
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.weights = [np.asarray(W, dtype=float) for W in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+    params: MlpShape
+    weights: list[list[list[float]]]  # one (fan_in, fan_out) ndarray per layer
+    biases: list[list[float]]         # one (fan_out,) ndarray per layer
+
+    def __post_init__(self):
+        self.weights = [np.asarray(W, dtype=float) for W in self.weights]
+        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+        sizes = self.params.layer_sizes
+        if len(sizes) < 2 or sizes[-1] != 1:
+            raise ValueError("layer_sizes %s must end in an output layer of size 1" % list(sizes))
+        weight_shapes = [W.shape for W in self.weights]
+        bias_shapes = [b.shape for b in self.biases]
+        if (weight_shapes, bias_shapes) != (list(zip(sizes, sizes[1:])),
+                                            [(s,) for s in sizes[1:]]):
+            raise ValueError("layer_sizes %s does not match weight shapes %s and bias shapes %s"
+                             % (list(sizes), weight_shapes, bias_shapes))
 
 
 def _forward(weights, biases, X):
@@ -102,11 +122,11 @@ def mlp_fit(X, y, layer_sizes, epochs=MlpParams.epochs, batch_size=MlpParams.bat
                 weights[layer] = weights[layer] + vel_w[layer]
                 vel_b[layer] = momentum * vel_b[layer] - step_size * grad_b[layer]
                 biases[layer] = biases[layer] + vel_b[layer]
-    return MlpModel(layer_sizes, weights, biases)
+    return MlpModel(MlpShape(layer_sizes), weights, biases)
 
 
 def mlp_predict(model, X):
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
-        raise ValueError("expected %d features, got %s" % (model.layer_sizes[0], X.shape))
+    if X.ndim != 2 or X.shape[1] != model.params.layer_sizes[0]:
+        raise ValueError("expected %d features, got %s" % (model.params.layer_sizes[0], X.shape))
     return _forward(model.weights, model.biases, X)[-1][:, 0]

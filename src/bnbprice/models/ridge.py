@@ -20,11 +20,18 @@ class RidgeParams:
     lam: float = field(default=1.0, metadata={"json": "lambda"})
 
 
+@dataclass(eq=False)
 class RidgeModel:
-    def __init__(self, coefficients, intercept, lam):
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        self.intercept = float(intercept)
-        self.lam = float(lam)
+    params: RidgeParams
+    coefficients: list[float]  # an ndarray
+    intercept: float
+
+    def __post_init__(self):
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
+
+    @property
+    def lam(self):
+        return self.params.lam
 
 
 def _spd_solve(A, b):
@@ -61,7 +68,7 @@ def ridge_fit(X, y, lam):
                     lam, LAMBDA_FLOOR)
         w = _spd_solve(Xc.T @ Xc + LAMBDA_FLOOR * np.eye(m), rhs)
     intercept = ybar - float(xbar @ w)
-    return RidgeModel(w, intercept, lam)
+    return RidgeModel(RidgeParams(float(lam)), w, intercept)
 
 
 def ridge_predict(model, X):

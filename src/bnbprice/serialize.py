@@ -8,12 +8,14 @@ double, and dict insertion order is kept.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import operator
 import reprlib
 import typing
+from datetime import date
 
 import numpy as np
 
@@ -95,20 +97,31 @@ def sha256_hex(blob):
     return _sha256(blob).hexdigest()
 
 
+def _refuse_constant(name):
+    raise ValueError("non-finite number %s" % name)
+
+
+# every artifact is written without NaN or Infinity, so reading one back refuses them
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def load_file(path):
     with open(path, "rb") as fh:
-        return json.loads(fh.read().decode("utf-8"))
+        return _DECODER.decode(fh.read().decode("utf-8"))
 
 
 def _matches(value, annotation):
     """isinstance against a type annotation; ints pass as floats, bools only as bools."""
-    if typing.get_origin(annotation) is list:
-        item = typing.get_args(annotation)[0]
-        # one C-level type pass spares a well-formed list the per-item rule
-        return isinstance(value, list) and (
-            set(map(type, value)) <= set(typing.get_args(item) or (item,))
-            or all(_matches(v, item) for v in value))
-    allowed = typing.get_args(annotation) or (annotation,)
+    container = _container(annotation)
+    if container:
+        origin, item, exact = container
+        items = value.values() if isinstance(value, dict) else value
+        # one C-level type pass spares a well-formed container the per-item rule
+        return isinstance(value, origin) and (set(map(type, items)) <= exact
+                                              or all(_matches(v, item) for v in items))
+    if dataclasses.is_dataclass(annotation):
+        return isinstance(value, dict)
+    allowed = (str,) if annotation is date else typing.get_args(annotation) or (annotation,)
     if isinstance(value, bool):
         return bool in allowed
     if isinstance(value, int) and float in allowed:
@@ -116,9 +129,21 @@ def _matches(value, annotation):
     return isinstance(value, allowed)
 
 
+@functools.cache
+def _container(annotation):
+    """(list or dict, item annotation, item types that need no per-item check), or None."""
+    origin = typing.get_origin(annotation)
+    if origin is list or origin is dict:
+        item = typing.get_args(annotation)[-1]
+        return origin, item, frozenset(() if _container(item) else typing.get_args(item) or (item,))
+
+
 def _type_name(annotation):
-    if typing.get_origin(annotation) is list:
-        return "list of " + _type_name(typing.get_args(annotation)[0])
+    container = _container(annotation)
+    if container:
+        return ("list of " if container[0] is list else "object of ") + _type_name(container[1])
+    if dataclasses.is_dataclass(annotation):
+        return "object"
     allowed = typing.get_args(annotation) or (annotation,)
     return " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
 
@@ -159,29 +184,78 @@ def check_rows(rows, columns, where):
                     type(row[j]).__name__, reprlib.repr(row[j])))
 
 
-def _json_key(f):
-    return f.metadata.get("json", f.name)
+@functools.cache
+def _fields(cls):
+    """JSON key -> (attribute, annotation, the dataclass it holds or None) of each init
+    field of cls, in field order; the key is metadata["json"] or the name."""
+    plan = {}
+    for f in dataclasses.fields(cls):
+        item = _container(f.type)[1] if _container(f.type) else f.type
+        if f.init:
+            plan[f.metadata.get("json", f.name)] = (
+                f.name, f.type, item if dataclasses.is_dataclass(item) else None)
+    return plan
+
+
+def _build(value, annotation, inner, where, required):
+    """A checked JSON value built into its date, its dataclass inner, or the list or
+    object of inner that annotation declares."""
+    if annotation is date:
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            raise ValueError("%s must be an ISO date, got %r" % (where, value)) from None
+    if inner is annotation:
+        return dataclass_from_doc(inner, value, where, required)
+    pairs = value.items() if isinstance(value, dict) else enumerate(value)
+    built = {k: dataclass_from_doc(inner, v, "%s[%r]" % (where, k), required) for k, v in pairs}
+    return built if isinstance(value, dict) else list(built.values())
 
 
 def dataclass_from_doc(cls, doc, where, required=False):
-    """cls from a JSON object whose keys are its fields' metadata["json"] or names.
+    """cls from a JSON object whose keys are its init fields' metadata["json"] or names.
 
     Absent keys take the defaults unless required; an unknown, missing or
-    mistyped key is a ValueError naming where and the key. Ints given for
-    float fields become floats.
+    mistyped key, or a ValueError from cls, is a ValueError naming where and,
+    inside nested dataclasses, the key path. Ints given for float fields
+    become floats.
     """
-    by_key = {_json_key(f): f for f in dataclasses.fields(cls)}
-    unknown = [key for key in doc if key not in by_key]
+    plan = _fields(cls)
+    unknown = [key for key in doc if key not in plan]
     if unknown:
         raise ValueError("%s: unknown key %r" % (where, unknown[0]))
     values = {}
-    for key, f in by_key.items():
+    for key, (name, annotation, inner) in plan.items():
         if required or key in doc:
-            value = field(doc, key, f.type, where)
-            values[f.name] = float(value) if f.type is float else value
-    return cls(**values)
+            value = field(doc, key, annotation, where)
+            if inner is not None or annotation is date:
+                value = _build(value, annotation, inner, "%s %s" % (where, key), required)
+            values[name] = float(value) if annotation is float else value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None
+
+
+def _to_json(value, annotation):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(annotation):
+        return dataclass_to_doc(value)
+    if annotation is date:
+        return value.isoformat()
+    if not _container(annotation):
+        return value
+    origin, item, _ = _container(annotation)
+    # containers of dataclasses or of arrays take a per-item step, the rest a copy
+    if not (dataclasses.is_dataclass(item) or typing.get_origin(item) is list):
+        return origin(value)
+    pairs = value.items() if origin is dict else enumerate(value)
+    out = {k: _to_json(v, item) for k, v in pairs}
+    return out if origin is dict else list(out.values())
 
 
 def dataclass_to_doc(obj):
-    """obj's fields as a JSON object in field order, as dataclass_from_doc reads it."""
-    return {_json_key(f): getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    """obj's init fields as a JSON object in field order, as dataclass_from_doc reads it."""
+    return {key: _to_json(getattr(obj, name), annotation)
+            for key, (name, annotation, _) in _fields(type(obj)).items()}

@@ -21,18 +21,24 @@ def tokenize(text):
 
 @dataclass(frozen=True)
 class SentimentLexicon:
-    entries: dict  # lowercase token -> nonzero integer valence
-    max_abs: int
+    entries: dict[str, int]  # lowercase token -> nonzero integer valence
+    max_abs: int             # the largest |valence|
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ValueError("empty lexicon")
+        for token, valence in self.entries.items():
+            if not isinstance(valence, int) or valence == 0:
+                raise ValueError("valence for %r must be a nonzero integer" % token)
+        largest = max(map(abs, self.entries.values()))
+        if self.max_abs != largest:
+            raise ValueError("max_abs %r must be the largest |valence|, %d"
+                             % (self.max_abs, largest))
 
 
 def lexicon_from_entries(entries):
-    if not entries:
-        raise ValueError("empty lexicon")
-    for token, valence in entries.items():
-        if not isinstance(valence, int) or valence == 0:
-            raise ValueError("valence for %r must be a nonzero integer" % token)
     return SentimentLexicon(entries=dict(entries),
-                            max_abs=max(abs(v) for v in entries.values()))
+                            max_abs=max(map(abs, entries.values()), default=0))
 
 
 def load_lexicon(path):
@@ -93,13 +99,19 @@ def listing_sentiment(review_texts, lexicon):
     return sum(scores) / len(scores), len(scores)
 
 
+@dataclass(eq=False)
 class Vocabulary:
     """Fitted TF-IDF vocabulary: terms in canonical sorted order plus idf."""
 
-    def __init__(self, terms, idf, doc_count):
-        self.terms = tuple(terms)
-        self.idf = np.asarray(idf, dtype=float)
-        self.doc_count = int(doc_count)
+    terms: list[str]  # a tuple
+    idf: list[float]  # an ndarray
+    doc_count: int
+
+    def __post_init__(self):
+        self.terms = tuple(self.terms)
+        self.idf = np.asarray(self.idf, dtype=float)
+        if self.idf.shape != (len(self.terms),):
+            raise ValueError("%d idf values for %d terms" % (self.idf.size, len(self.terms)))
         self._index = {t: i for i, t in enumerate(self.terms)}
 
 
@@ -144,12 +156,15 @@ def tfidf_vector(description, vocab):
     return v
 
 
+@dataclass(eq=False)
 class DescriptionDirection:
     """Unit direction in vocabulary space pointing toward expensive listings."""
 
-    def __init__(self, weights, norm):
-        self.weights = np.asarray(weights, dtype=float)
-        self.norm = float(norm)
+    weights: list[float]  # an ndarray
+    norm: float
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
 
 
 def fit_description_direction(train_vectors, train_log_prices):

@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 
 from . import geofeat, textfeat
-from .serialize import field
+from .serialize import dataclass_from_doc, dataclass_to_doc, field
 
 
 class AssemblyError(ValueError):
@@ -26,6 +26,9 @@ PIPELINE_SCHEMA_VERSION = 2
 NUMERIC_COLUMNS = ("accommodates", "availability_365", "reviews_per_month", "bedrooms")
 # accommodates is required at ingest; only these may be absent and get a missing flag
 OPTIONAL_NUMERIC = NUMERIC_COLUMNS[1:]
+# the columns _numeric and _host scale
+SCALED_COLUMNS = NUMERIC_COLUMNS + ("host_experience_months",)
+SCALER_KINDS = ("minmax", "standard", "robust")
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,10 @@ class ScalerParams:
     kind: str  # minmax | standard | robust
     a: float   # min | mean | median
     b: float   # max | population std | IQR
+
+    def __post_init__(self):
+        if self.kind not in SCALER_KINDS:
+            raise ValueError("unknown scaler kind %r" % self.kind)
 
 
 def _interp_quantile(sorted_values, q):
@@ -111,18 +118,26 @@ class FittedPipeline:
     direction: textfeat.DescriptionDirection
     clusters: geofeat.ClusterModel
     neighbourhoods: geofeat.NeighbourhoodStats
-    scalers: dict     # column name -> ScalerParams
-    medians: dict     # column name -> train median used for imputation
-    room_type_levels: tuple
+    scalers: dict[str, ScalerParams]
+    medians: dict[str, float]    # train medians that impute the optional columns
+    room_type_levels: list[str]  # a tuple
     snapshot_date: date
+
+    def __post_init__(self):
+        self.room_type_levels = tuple(self.room_type_levels)
+        if self.direction.weights.shape != self.vocab.idf.shape:
+            raise ValueError("direction has %d weights for %d vocab terms"
+                             % (self.direction.weights.size, self.vocab.idf.size))
+        for table, names in (("scalers", SCALED_COLUMNS), ("medians", OPTIONAL_NUMERIC)):
+            missing = [name for name in names if name not in getattr(self, table)]
+            if missing:
+                raise ValueError("%s has no entry for %r" % (table, missing[0]))
 
     @property
     def columns(self):
-        """Column names in assembly order, block by block."""
-        names = [name for block_names, _ in BLOCKS for name in block_names(self)]
-        if len(set(names)) != len(names):
-            raise AssemblyError("duplicate column names in matrix layout")
-        return tuple(names)
+        """Column names in assembly order, block by block; distinct, because the
+        neighbourhood categories are."""
+        return tuple(name for block_names, _ in BLOCKS for name in block_names(self))
 
 
 def resolve_snapshot_date(dataset, configured):
@@ -266,51 +281,12 @@ def assemble_matrix(dataset, indices, fitted):
 
 
 def pipeline_to_doc(fp):
-    return {
-        "schema_version": PIPELINE_SCHEMA_VERSION,
-        "lexicon": {"entries": dict(fp.lexicon.entries), "max_abs": fp.lexicon.max_abs},
-        "vocab": {"terms": list(fp.vocab.terms),
-                  "idf": [float(x) for x in fp.vocab.idf],
-                  "doc_count": fp.vocab.doc_count},
-        "direction": {"weights": [float(x) for x in fp.direction.weights],
-                      "norm": fp.direction.norm},
-        "clusters": {"centroids": [[float(lat), float(lon)] for lat, lon in fp.clusters.centroids],
-                     "metric": fp.clusters.metric, "k": fp.clusters.k,
-                     "seed": fp.clusters.seed,
-                     "iterations_run": fp.clusters.iterations_run},
-        "neighbourhoods": {"categories": list(fp.neighbourhoods.categories),
-                           "counts": dict(fp.neighbourhoods.counts)},
-        "scalers": {name: {"kind": p.kind, "a": p.a, "b": p.b}
-                    for name, p in fp.scalers.items()},
-        "medians": {name: float(v) for name, v in fp.medians.items()},
-        "room_type_levels": list(fp.room_type_levels),
-        "snapshot_date": fp.snapshot_date.isoformat(),
-    }
+    return {"schema_version": PIPELINE_SCHEMA_VERSION, **dataclass_to_doc(fp)}
 
 
 def pipeline_from_doc(doc):
-    def part(key, annotation=dict):
-        return field(doc, key, annotation, "pipeline")
-
-    version = part("schema_version", int)
+    version = field(doc, "schema_version", int, "pipeline")
     if version != PIPELINE_SCHEMA_VERSION:
         raise ValueError("unsupported pipeline schema_version %r" % version)
-    vocab, direction, clusters = part("vocab"), part("direction"), part("clusters")
-    neighbourhoods = part("neighbourhoods")
-    return FittedPipeline(
-        lexicon=textfeat.lexicon_from_entries(part("lexicon")["entries"]),
-        vocab=textfeat.Vocabulary(vocab["terms"], vocab["idf"], vocab["doc_count"]),
-        direction=textfeat.DescriptionDirection(direction["weights"], direction["norm"]),
-        clusters=geofeat.ClusterModel(
-            centroids=np.asarray(clusters["centroids"], dtype=float),
-            metric=clusters["metric"], k=clusters["k"], seed=clusters["seed"],
-            iterations_run=clusters["iterations_run"]),
-        neighbourhoods=geofeat.NeighbourhoodStats(
-            categories=tuple(neighbourhoods["categories"]),
-            counts=dict(neighbourhoods["counts"])),
-        scalers={name: ScalerParams(p["kind"], p["a"], p["b"])
-                 for name, p in part("scalers").items()},
-        medians=dict(part("medians")),
-        room_type_levels=tuple(part("room_type_levels", list)),
-        snapshot_date=date.fromisoformat(part("snapshot_date", str)),
-    )
+    body = {key: value for key, value in doc.items() if key != "schema_version"}
+    return dataclass_from_doc(FittedPipeline, body, "pipeline", required=True)

@@ -6,7 +6,10 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bnbprice import cli, ingest
 from bnbprice.cli import main
 from bnbprice.serialize import load_file
 
@@ -347,9 +350,52 @@ def drop_vocab_terms(doc):
     del doc["vocab"]["terms"]
 
 
+def set_at(value, *path):
+    def spoil(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value(doc[path[-1]]) if callable(value) else value
+    return spoil
+
+
+def drop_at(*path):
+    def spoil(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return spoil
+
+
 @pytest.mark.parametrize("spoil,expected", [
     (drop_key("vocab"), "missing key 'vocab'"),
-    (drop_vocab_terms, "KeyError 'terms'"),
+    (drop_vocab_terms, "missing key 'terms'"),
+    pytest.param(set_at(4, "clusters", "k"),
+                 "pipeline clusters: centroids must have shape (k, 2) = (4, 2), got (2, 2)",
+                 id="k 4 against 2 centroids"),
+    pytest.param(set_at("manhattan", "clusters", "metric"),
+                 "pipeline clusters: metric must be one of", id="metric manhattan"),
+    pytest.param(drop_at("scalers", "accommodates"),
+                 "pipeline: scalers has no entry for 'accommodates'", id="no accommodates scaler"),
+    pytest.param(drop_at("medians", "bedrooms"),
+                 "pipeline: medians has no entry for 'bedrooms'", id="no bedrooms median"),
+    pytest.param(set_at("bogus", "scalers", "accommodates", "kind"),
+                 "pipeline scalers['accommodates']: unknown scaler kind 'bogus'",
+                 id="bogus scaler kind"),
+    pytest.param(set_at(lambda c: c[:-1], "neighbourhoods", "categories"),
+                 "pipeline neighbourhoods: categories must be distinct and end with 'other'",
+                 id="categories without other"),
+    pytest.param(set_at(1, "bogus"), "pipeline: unknown key 'bogus'", id="unknown key"),
+    pytest.param(set_at(3.5, "lexicon", "max_abs"),
+                 "pipeline lexicon: key 'max_abs' must be int, got float 3.5",
+                 id="float max_abs"),
+    pytest.param(set_at(lambda m: m + 1, "lexicon", "max_abs"),
+                 "pipeline lexicon: max_abs", id="max_abs not the largest valence"),
+    pytest.param(set_at(lambda idf: idf[:-1], "vocab", "idf"),
+                 "pipeline vocab: ", id="short idf"),
+    pytest.param(set_at(lambda w: w[:-1], "direction", "weights"),
+                 "pipeline: direction has", id="short weights"),
+    pytest.param(set_at("2021-13-01", "snapshot_date"),
+                 "pipeline snapshot_date must be an ISO date", id="snapshot month 13"),
 ])
 def test_malformed_pipeline_exits_2_naming_the_file(trained, tmp_path, caplog, spoil, expected):
     tmp, out, config = trained
@@ -460,11 +506,11 @@ def set_tree_node(array, node, value):
 
 
 @pytest.mark.parametrize("spoil,expected", [
-    pytest.param(set_tree_node("feature", 0, 999), "model tree 0: feature ids must lie in",
+    pytest.param(set_tree_node("feature", 0, 999), "model: tree 0: feature ids must lie in",
                  id="feature 999"),
-    pytest.param(set_tree_node("feature", 0, -3), "model tree 0: feature ids must lie in",
+    pytest.param(set_tree_node("feature", 0, -3), "model: tree 0: feature ids must lie in",
                  id="feature -3"),
-    pytest.param(set_tree_node("right", 0, 0), "model tree 0: children must lie after",
+    pytest.param(set_tree_node("right", 0, 0), "model trees[0]: children must lie after",
                  id="self child"),
     pytest.param(set_tree_node("left", 0, 2 ** 70), "OverflowError", id="huge child"),
 ])
@@ -483,6 +529,111 @@ def test_predict_malformed_tree_exits_2_with_one_line(trained, tmp_path, caplog,
     assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
     assert "\n" not in errors[0]
     assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def mlp_doc(out):
+    """A well-formed MLP model file for the trained pipeline."""
+    width = load_file(out / "model_1_gbdt.json")["n_features"]
+    return {"schema_version": 2, "kind": "mlp", "pipeline_sha256": pipeline_sha256(out),
+            "params": {"layer_sizes": [width, 2, 1]},
+            "weights": [[[0.5, -0.5]] * width, [[1.0], [1.0]]], "biases": [[0.0, 0.0], [0.0]]}
+
+
+@pytest.mark.parametrize("source,spoil,expected", [
+    pytest.param("model_0_ridge.json", set_at(None, "coefficients", 0),
+                 "model: key 'coefficients' must be list of float, got list",
+                 id="null ridge coefficient"),
+    pytest.param("model_0_ridge.json", set_at(float("nan"), "coefficients", 0),
+                 "non-finite number NaN", id="NaN ridge coefficient"),
+    pytest.param(mlp_doc, set_at([5, 1], "params", "layer_sizes"),
+                 "model: layer_sizes [5, 1] does not match weight shapes", id="mlp layer_sizes"),
+    pytest.param(mlp_doc, set_at(lambda b: b[:1], "biases"),
+                 "does not match weight shapes", id="mlp missing bias"),
+    pytest.param("model_1_gbdt.json", set_at(lambda g: g[:-1], "feature_gain"),
+                 "model: feature_gain has 23 entries for 24 features", id="short feature_gain"),
+    pytest.param("model_0_ridge.json", set_at(1, "bogus"), "model: unknown key 'bogus'",
+                 id="unknown key"),
+])
+def test_malformed_model_exits_2_naming_the_file(trained, tmp_path, caplog, source, spoil,
+                                                 expected):
+    tmp, out, config = trained
+    doc = load_file(out / source) if isinstance(source, str) else source(out)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    args = ["predict", "--out", str(tmp_path / "p"), "--pipeline", str(out / "pipeline.json"),
+            "--model", str(bad), "--listings", str(tmp / "data" / "listings.csv")]
+    assert main(args) == 0  # the unspoiled file scores
+    spoil(doc)
+    bad.write_text(json.dumps(doc))
+    (tmp_path / "p" / "predictions.csv").unlink()
+    caplog.clear()
+    assert main(args) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def add_row_described_by(text):
+    """Append a listings row whose quoted description is the raw bytes text."""
+    def spoil(blob):
+        header = blob.split(b"\n", 1)[0].decode("utf-8").split(",")
+        row = b",".join(b'"%s"' % text if name == "description" else b"" for name in header)
+        return blob + row + b"\n"
+    return spoil
+
+
+@pytest.mark.parametrize("command", ["ingest", "predict"])
+@pytest.mark.parametrize("spoil,expected", [
+    pytest.param(add_row_described_by(b"x" * 131073), "field larger than field limit",
+                 id="field over the csv limit"),
+    pytest.param(add_row_described_by(b"caf\xe9"), "can't decode byte 0xe9",
+                 id="invalid utf-8"),
+])
+def test_unreadable_listings_csv_exits_2_naming_the_file(trained, tmp_path, caplog, command,
+                                                         spoil, expected):
+    tmp, out, config = trained
+    bad = tmp_path / "listings.csv"
+    bad.write_bytes(spoil((tmp / "data" / "listings.csv").read_bytes()))
+    reviews = str(tmp / "data" / "reviews.csv")
+    if command == "ingest":
+        args = ["ingest", "--config", write_config(
+            tmp_path / "c.json", cities={"x": {"listings": str(bad), "reviews": reviews}},
+            out=str(tmp_path / "o"))]
+    else:
+        args = ["predict", "--out", str(tmp_path / "o"), "--pipeline", str(out / "pipeline.json"),
+                "--model", str(out / "model_0_ridge.json"), "--listings", str(bad),
+                "--reviews", reviews]
+    assert main(args) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
+    assert not (tmp_path / "o").exists()
+
+
+LISTINGS_HEADER = (b"id,price,latitude,longitude,accommodates,description,availability_365,"
+                   b"reviews_per_month,host_is_superhost,host_since,neighbourhood_cleansed,"
+                   b"room_type,bedrooms\n")
+REVIEWS_HEADER = b"listing_id,id,date,comments\n"
+ROW_BYTES = st.lists(st.sampled_from([b",", b'"', b"\n", b"\r", b"1", b"-7.5", b"$1,200",
+                                      b"2020-02-29", b"t", b"\x00", b"\xff", b"\xc3\xa9",
+                                      b"nan", b"1e999", b" "]), max_size=40).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=st.one_of(st.binary(max_size=200), ROW_BYTES),
+       header=st.sampled_from([b"", LISTINGS_HEADER, REVIEWS_HEADER]),
+       parse=st.sampled_from([(ingest.parse_listings, "city"), (ingest.parse_reviews,)]))
+def test_any_csv_bytes_end_in_records_and_drops_or_one_error(tmp_path_factory, body, header,
+                                                            parse):
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    path.write_bytes(header + body)
+    try:
+        records, drops = cli._read_csv(path, *parse)
+    except (cli.CliError, ingest.IngestError) as exc:
+        assert "\n" not in str(exc)
+        return
+    assert all(type(d) is ingest.Drop for d in drops)
+    assert len(records) + len(drops) <= (header + body).count(b"\n") + (header + body).count(
+        b"\r") + 1
 
 
 def test_predict_refuses_a_pipeline_from_another_train(trained, tmp_path, caplog):

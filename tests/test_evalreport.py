@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bnbprice import evalreport, serialize
-from bnbprice.models import GbdtModel, GbdtParams, MlpModel, RidgeModel
+from bnbprice.models import GbdtModel, GbdtParams, MlpModel, RidgeModel, RidgeParams
+from bnbprice.models.mlp import MlpShape
 from bnbprice.models import gbdt
 
 
@@ -75,7 +76,7 @@ def test_metrics_errors():
 
 
 def test_importance_ridge_magnitude_ranking():
-    model = RidgeModel([0.5, -2.0], 0.0, 1.0)
+    model = RidgeModel(params=RidgeParams(1.0), coefficients=[0.5, -2.0], intercept=0.0)
     entries = evalreport.feature_importance(model, ["f0", "f1"])
     assert [e.feature for e in entries] == ["f1", "f0"]
     assert [e.rank for e in entries] == [1, 2]
@@ -95,7 +96,8 @@ def test_importance_single_feature_gbdt():
 
 
 def test_importance_zero_scores_keep_column_order():
-    model = GbdtModel(5.0, [], GbdtParams(), np.zeros(3), 3)
+    model = GbdtModel(params=GbdtParams(), n_features=3, base_score=5.0,
+                      feature_gain=np.zeros(3), trees=[])
     entries = evalreport.feature_importance(model, ["x", "y", "z"])
     assert [e.feature for e in entries] == ["x", "y", "z"]
     assert [e.score for e in entries] == [0.0, 0.0, 0.0]
@@ -104,14 +106,14 @@ def test_importance_zero_scores_keep_column_order():
 def test_importance_mlp_first_layer_weights():
     weights = [np.array([[1.0, -1.0], [0.25, 0.25]]), np.array([[1.0], [1.0]])]
     biases = [np.zeros(2), np.zeros(1)]
-    model = MlpModel((2, 2, 1), weights, biases)
+    model = MlpModel(params=MlpShape((2, 2, 1)), weights=weights, biases=biases)
     entries = evalreport.feature_importance(model, ["p", "q"])
     assert entries[0].feature == "p"
     assert entries[0].score == pytest.approx(2.0 / 2.5)
 
 
 def test_importance_width_mismatch():
-    model = RidgeModel([0.5, -2.0], 0.0, 1.0)
+    model = RidgeModel(params=RidgeParams(1.0), coefficients=[0.5, -2.0], intercept=0.0)
     with pytest.raises(ValueError):
         evalreport.feature_importance(model, ["only"])
 
@@ -165,9 +167,15 @@ def test_emit_report_top_n_clamps(tmp_path):
 
 def test_emit_report_registers_before_writing(tmp_path):
     results = run_results_fixture()
-    register = []
-    wrote = evalreport.emit_report(results, tmp_path, register=register)
-    assert register == wrote
+    claimed = []
+
+    def claim(path):
+        assert not path.exists()
+        claimed.append(path)
+        return path
+
+    wrote = evalreport.emit_report(results, tmp_path, claim=claim)
+    assert claimed == wrote
 
 
 def test_importance_svg_escapes_and_is_self_contained():

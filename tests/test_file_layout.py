@@ -1,0 +1,92 @@
+"""The key layout of pipeline.json and of each kind's model file.
+
+Each file is written from its dataclasses, and field order is file
+order, so a reordered or renamed field would change the bytes of every
+file. The golden lists below were written by the hand-written writers
+that the dataclasses replaced. Every key path, at every depth, must stay
+where it was.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from bnbprice import serialize, transform
+from bnbprice.models import fit_model, model_to_doc
+from test_transform import fitted_small
+
+
+def key_paths(doc, prefix=""):
+    """Every object key as a /-joined path in file order; list items that are
+    objects are entered by index."""
+    paths = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        path = "%s/%s" % (prefix, key)
+        if isinstance(doc, dict):
+            paths.append(path)
+        if isinstance(value, dict) or (isinstance(value, list)
+                                       and any(isinstance(v, dict) for v in value)):
+            paths += key_paths(value, path)
+    return paths
+
+
+def on_disk(doc):
+    return json.loads(serialize.dumps(doc))
+
+
+PIPELINE = [
+    "/schema_version", "/lexicon", "/lexicon/entries", "/lexicon/entries/great",
+    "/lexicon/entries/dirty", "/lexicon/entries/good", "/lexicon/max_abs", "/vocab",
+    "/vocab/terms", "/vocab/idf", "/vocab/doc_count", "/direction", "/direction/weights",
+    "/direction/norm", "/clusters", "/clusters/centroids", "/clusters/metric", "/clusters/k",
+    "/clusters/seed", "/clusters/iterations_run", "/neighbourhoods", "/neighbourhoods/categories",
+    "/neighbourhoods/counts", "/neighbourhoods/counts/Mission", "/neighbourhoods/counts/Alamo",
+    "/neighbourhoods/counts/Soma", "/scalers", "/scalers/accommodates",
+    "/scalers/accommodates/kind", "/scalers/accommodates/a", "/scalers/accommodates/b",
+    "/scalers/availability_365", "/scalers/availability_365/kind", "/scalers/availability_365/a",
+    "/scalers/availability_365/b", "/scalers/reviews_per_month", "/scalers/reviews_per_month/kind",
+    "/scalers/reviews_per_month/a", "/scalers/reviews_per_month/b", "/scalers/bedrooms",
+    "/scalers/bedrooms/kind", "/scalers/bedrooms/a", "/scalers/bedrooms/b",
+    "/scalers/host_experience_months", "/scalers/host_experience_months/kind",
+    "/scalers/host_experience_months/a", "/scalers/host_experience_months/b", "/medians",
+    "/medians/accommodates", "/medians/availability_365", "/medians/reviews_per_month",
+    "/medians/bedrooms", "/room_type_levels", "/snapshot_date",
+]
+
+RIDGE = [
+    "/schema_version", "/kind", "/pipeline_sha256", "/params", "/params/lambda", "/coefficients",
+    "/intercept",
+]
+
+GBDT = [
+    "/schema_version", "/kind", "/pipeline_sha256", "/params", "/params/n_estimators",
+    "/params/learning_rate", "/params/growth", "/params/max_depth", "/params/num_leaves",
+    "/params/min_samples_leaf", "/params/alpha", "/params/lambda", "/params/min_gain",
+    "/n_features", "/base_score", "/feature_gain", "/trees", "/trees/0/feature",
+    "/trees/0/threshold", "/trees/0/left", "/trees/0/right", "/trees/0/value", "/trees/1/feature",
+    "/trees/1/threshold", "/trees/1/left", "/trees/1/right", "/trees/1/value",
+]
+
+MLP = [
+    "/schema_version", "/kind", "/pipeline_sha256", "/params", "/params/layer_sizes", "/weights",
+    "/biases",
+]
+
+
+def test_pipeline_keys_keep_their_order_at_every_depth():
+    doc = on_disk(transform.pipeline_to_doc(fitted_small()[2]))
+    assert key_paths(doc) == PIPELINE
+
+
+@pytest.mark.parametrize("kind,params,golden", [
+    ("ridge", {}, RIDGE),
+    ("gbdt", {"n_estimators": 2, "max_depth": 2, "min_samples_leaf": 3}, GBDT),
+    ("mlp", {"hidden_sizes": [4], "epochs": 1}, MLP),
+])
+def test_model_keys_keep_their_order_at_every_depth(kind, params, golden):
+    rng = np.random.RandomState(4)
+    X = rng.randn(30, 3)
+    y = X @ np.array([1.0, -0.5, 0.25]) + 0.1 * rng.randn(30)
+    assert key_paths(on_disk(model_to_doc(fit_model(kind, params, X, y), "0" * 64))) == golden

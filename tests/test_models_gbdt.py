@@ -139,7 +139,8 @@ def reference_fit(X, y, params):
             update[rows] = value
         trees.append(gbdt.Tree(**nodes))
         pred = pred + params.learning_rate * update
-    return gbdt.GbdtModel(base, trees, params, feature_gain, m)
+    return gbdt.GbdtModel(params=params, n_features=m, base_score=base,
+                          feature_gain=feature_gain, trees=trees)
 
 
 def duplicate_heavy(rng, n, m):

@@ -52,13 +52,14 @@ def test_zero_network_outputs_zero():
     sizes = (3, 2, 1)
     weights = [np.zeros((3, 2)), np.zeros((2, 1))]
     biases = [np.zeros(2), np.zeros(1)]
-    model = mlp.MlpModel(sizes, weights, biases)
+    model = mlp.MlpModel(params=mlp.MlpShape(sizes), weights=weights, biases=biases)
     X = np.random.RandomState(0).randn(6, 3)
     assert np.array_equal(mlp.mlp_predict(model, X), np.zeros(6))
 
 
 def test_single_affine_layer():
-    model = mlp.MlpModel((1, 1), [np.array([[2.0]])], [np.array([1.0])])
+    model = mlp.MlpModel(params=mlp.MlpShape((1, 1)), weights=[np.array([[2.0]])],
+                         biases=[np.array([1.0])])
     assert mlp.mlp_predict(model, np.array([[3.0]]))[0] == 7.0
 
 

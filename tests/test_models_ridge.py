@@ -35,9 +35,10 @@ def test_huge_lambda_shrinks_to_mean():
 
 
 def test_predict_examples():
-    model = ridge.RidgeModel([2.0], 0.0, 0.0)
+    model = ridge.RidgeModel(params=ridge.RidgeParams(0.0), coefficients=[2.0], intercept=0.0)
     assert ridge.ridge_predict(model, [[5.0]])[0] == 10.0
-    zero = ridge.RidgeModel([0.0, 0.0], 3.5, 0.0)
+    zero = ridge.RidgeModel(params=ridge.RidgeParams(0.0), coefficients=[0.0, 0.0],
+                            intercept=3.5)
     assert ridge.ridge_predict(zero, [[9.0, -2.0]])[0] == 3.5
 
 

@@ -1,6 +1,9 @@
+import dataclasses
+import datetime
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -180,3 +183,83 @@ SCALARS = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False), st
 def test_list_fast_path_agrees_with_the_per_item_rule(values, item):
     assert serialize._matches(values, list[item]) == all(
         serialize._matches(v, item) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.dictionaries(st.text(max_size=2), SCALARS, max_size=6),
+       item=st.sampled_from([int, float, str, bool, str | None, float | None]))
+def test_dict_fast_path_agrees_with_the_per_item_rule(values, item):
+    assert serialize._matches(values, dict[str, item]) == all(
+        serialize._matches(v, item) for v in values.values())
+
+
+@dataclasses.dataclass
+class Leaf:
+    weights: list[float]
+    name: str = "leaf"
+    cache: dict = dataclasses.field(init=False, default=None)
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.size == 0:
+            raise ValueError("no weights")
+        self.cache = {}
+
+
+@dataclasses.dataclass
+class Root:
+    when: datetime.date
+    first: Leaf
+    leaves: list[Leaf]
+    by_name: dict[str, Leaf]
+    grid: list[list[float]]
+    scale: float = dataclasses.field(default=1.0, metadata={"json": "lambda"})
+
+
+def sample_root():
+    return Root(datetime.date(2021, 3, 14), Leaf([1.0, 2.5]), [Leaf([0.5], "a"), Leaf([3.0])],
+                {"x": Leaf([-1.0], "x")}, np.array([[1.0, 2.0], [3.0, 4.0]]), 0.25)
+
+
+def test_nested_dataclasses_round_trip_in_field_order():
+    doc = json.loads(serialize.dumps(serialize.dataclass_to_doc(sample_root())))
+    assert doc == {"when": "2021-03-14", "first": {"weights": [1.0, 2.5], "name": "leaf"},
+                   "leaves": [{"weights": [0.5], "name": "a"}, {"weights": [3.0], "name": "leaf"}],
+                   "by_name": {"x": {"weights": [-1.0], "name": "x"}},
+                   "grid": [[1.0, 2.0], [3.0, 4.0]], "lambda": 0.25}
+    assert list(doc) == ["when", "first", "leaves", "by_name", "grid", "lambda"]
+    back = serialize.dataclass_from_doc(Root, doc, "root", required=True)
+    assert back.when == datetime.date(2021, 3, 14)
+    assert isinstance(back.leaves[1], Leaf) and back.leaves[1].weights.tolist() == [3.0]
+    assert back.by_name["x"].name == "x" and back.first.cache == {}
+    assert serialize.dumps(serialize.dataclass_to_doc(back)) == serialize.dumps(doc)
+
+
+def spoiled_root(spoil):
+    doc = json.loads(serialize.dumps(serialize.dataclass_to_doc(sample_root())))
+    spoil(doc)
+    return doc
+
+
+@pytest.mark.parametrize("spoil,expected", [
+    (lambda d: d["leaves"][1].pop("weights"), "root leaves[1]: missing key 'weights'"),
+    (lambda d: d["leaves"][0].update(weights=[]), "root leaves[0]: no weights"),
+    (lambda d: d["by_name"]["x"].update(name=3), "root by_name['x']: key 'name' must be str"),
+    (lambda d: d["first"].update(cache={}), "root first: unknown key 'cache'"),
+    (lambda d: d.update(when="2021-02-30"), "root when must be an ISO date, got '2021-02-30'"),
+    (lambda d: d.update(leaves=[1]), "root: key 'leaves' must be list of object"),
+    (lambda d: d.update(by_name=[]), "root: key 'by_name' must be object of object"),
+    (lambda d: d.update(grid=[[1.0], ["2"]]), "root: key 'grid' must be list of list of float"),
+    (lambda d: d.pop("lambda"), "root: missing key 'lambda'"),
+])
+def test_nested_errors_name_their_place(spoil, expected):
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        serialize.dataclass_from_doc(Root, spoiled_root(spoil), "root", required=True)
+
+
+@pytest.mark.parametrize("text", ['{"a": NaN}', '[1.0, Infinity]', '{"b": [-Infinity]}'])
+def test_load_file_refuses_non_finite_numbers(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="non-finite number"):
+        serialize.load_file(path)
