@@ -12,24 +12,41 @@ alpha (L1) and lambda (L2) penalties enter. Growth is either depth_wise
 with the globally largest gain until num_leaves).
 
 Splits are found by the exact greedy algorithm over presorted column
-blocks (Chen & Guestrin, KDD 2016). One stable argsort per fit orders
-every feature. Each node keeps a feature-major (m, n_node) index block
-whose row j lists the node's rows sorted by feature j, so gathers,
-prefix sums and the partition's boolean compress all run along
-contiguous rows. A node is priced in two steps:
+blocks (Chen & Guestrin, KDD 2016). A feature whose every training value
+is 0 or 1 needs no sort order, so a node is three aligned parts:
 
-- candidates: the sorted positions where adjacent values differ, inside
-  the min_samples_leaf window. One-hot columns have at most one each, so
-  a 4000 x 63 root has about 1.2k candidates among its 252k positions;
-- gains at those (feature, position) pairs only, from one sequential
-  prefix sum of the residuals along each row. The left sums and the
-  per-feature node totals both come from it, which keeps every gain
-  bit-identical to a plain left-to-right scan.
+- A, its rows in ascending id order;
+- B, an (n_node, b) row-major bool block of the binary features, row i
+  holding row A[i];
+- I, a feature-major (s, n_node) index block for the other features,
+  whose row j lists the node's rows sorted by that feature. One stable
+  argsort per fit orders them, and gathers, prefix sums and the
+  partition's boolean compress all run along contiguous rows.
 
-The root block, and so its candidates, is the same for every tree and is
-built once per fit. Nodes that can never split again (the depth cap, the
-leaf budget, too few rows) are not scanned, and final leaves keep only
-row 0 of their block, the feature-0 order their leaf sums use.
+A node is priced in two steps:
+
+- candidates: in I, the sorted positions where adjacent values differ,
+  inside the min_samples_leaf window; a binary feature with n0 zeros in
+  the node has one, at position n0 - 1, when both sides keep
+  min_samples_leaf rows. On a 4000 x 62 root with 52 binary features
+  that is about 1.2k candidates instead of 248k positions;
+- gains at those candidates only. In I, one sequential prefix sum of the
+  residuals along each row gives the left sums and the node totals. For
+  B, a stable sort would put the zeros first in id order and then the
+  ones, so the left sum adds r over the zero rows down the block, and
+  the total adds the one rows after it. Both are numpy reduces down
+  axis 0 of a row-major block, which add row after row: the same values
+  in the same order as the prefix sum, so every gain is bit-identical to
+  a plain left-to-right scan. (numpy sums along a contiguous axis
+  pairwise, which would not be.) Ties break to the lowest feature over
+  both parts, then the lowest position.
+
+The root, and so its candidates, is the same for every tree and is
+built once per fit. A split compresses A and B with one row mask and I
+row by row. Nodes that can never split again (the depth cap, the leaf
+budget, too few rows) are not scanned, and final leaves keep only row 0
+of I, the feature-0 order their leaf sums use; feature 0 stays in I for
+that reason even when it is binary.
 """
 
 import heapq
@@ -129,74 +146,138 @@ class GbdtModel:
                 raise ValueError("tree %d: feature ids must lie in [-1, %d)" % (i, self.n_features))
 
 
-def _candidates(I, XT, min_samples_leaf):
-    """(features, positions) of a node's allowed splits, in that order.
+class _Columns:
+    """The per-fit split of the features into a sorted and a binary group.
+
+    A feature is binary when every training value is 0.0 or 1.0 (-0.0
+    compares equal to 0.0). Feature 0 stays sorted, because leaf sums read
+    its order, and a lone binary feature does too: numpy reduces a
+    one-column block pairwise instead of row after row.
+    """
+
+    def __init__(self, XT):
+        binary = ((XT == 0.0) | (XT == 1.0)).all(axis=1)
+        binary[0] = False
+        if np.count_nonzero(binary) < 2:
+            binary[:] = False
+        self.sorted_ids = np.flatnonzero(~binary)
+        self.binary_ids = np.flatnonzero(binary)
+        self.XS = np.ascontiguousarray(XT[self.sorted_ids])  # row j: values of sorted_ids[j]
+        self.XB = XT[self.binary_ids] == 1.0
+
+    def node(self, rows):
+        """(A, B, I) of the node holding rows; ties in I keep the order of rows."""
+        A = np.asarray(rows, dtype=np.int64)
+        B = np.ascontiguousarray(self.XB[:, A].T)
+        I = A[np.argsort(self.XS[:, A], axis=1, kind="stable")]
+        return A, B, I
+
+
+def _candidates(node, XS, min_samples_leaf):
+    """A node's allowed splits: (rows of I, positions) and (columns of B, zero counts).
 
     A split after sorted position i sends i + 1 rows left and n - i - 1
     right. It is allowed when both sides keep min_samples_leaf rows, a
     window taken as a slice, and the sorted values at i and i + 1 differ.
-    The node must hold at least 2 * min_samples_leaf rows.
+    A binary column's only split sends its n0 zeros left, at position
+    n0 - 1. The node must hold at least 2 * min_samples_leaf rows.
     """
+    A, B, I = node
+    n = A.shape[0]
     lo = min_samples_leaf - 1
-    hi = I.shape[1] - min_samples_leaf
-    # one flat take: row j of the window reads row j of XT
-    xs = XT.ravel().take(I[:, lo:hi + 1] + np.arange(0, XT.size, XT.shape[1])[:, None])
+    hi = n - min_samples_leaf
+    # one flat take: row j of the window reads row j of XS
+    xs = XS.ravel().take(I[:, lo:hi + 1] + np.arange(0, XS.size, XS.shape[1])[:, None])
     features, positions = np.divmod(np.flatnonzero(xs[:, :-1] != xs[:, 1:]), hi - lo)
-    return features, positions + lo
+    n0 = n - np.count_nonzero(B, axis=0)
+    columns = np.flatnonzero((min_samples_leaf <= n0) & (n0 <= hi))
+    return features, positions + lo, columns, n0[columns]
 
 
-def _eval_node(I, XT, r, params, candidates=None):
-    """Best split of the node whose per-feature sorted rows are I's rows.
+def _gains(left_S, totals, left_n, n, lam):
+    right_S = totals - left_S
+    right_n = float(n) - left_n
+    parent = (totals * totals) / (n + lam)
+    return left_S * left_S / (left_n + lam) + right_S * right_S / (right_n + lam) - parent
 
-    Returns (gain, feature, threshold, left_count) or None when no
+
+def _eval_node(node, cols, r, params, candidates=None):
+    """Best split of the node (A, B, I), or None.
+
+    Returns (gain, feature, threshold, left_rows) or None when no
     candidate clears min_samples_leaf and min_gain. Gains are priced only
-    at the candidates; left sums and per-feature node totals both come
-    from one sequential prefix sum along each row, so an independent
-    left-to-right oracle reproduces every gain bit for bit. Ties break to
-    the lower feature index, then the lower threshold.
+    at the candidates, and every node sum is sequential, so an
+    independent left-to-right oracle reproduces every gain bit for bit.
+    Ties break to the lower feature index, then the lower threshold.
     """
-    n = I.shape[1]
+    A, B, I = node
+    n = A.shape[0]
     if n < 2 * params.min_samples_leaf:
         return None
     if candidates is None:
-        candidates = _candidates(I, XT, params.min_samples_leaf)
-    features, positions = candidates
-    if features.size == 0:
+        candidates = _candidates(node, cols.XS, params.min_samples_leaf)
+    features, positions, columns, n0 = candidates
+    best = None
+    if features.size:
+        cum = r[I]
+        np.cumsum(cum, axis=1, out=cum)
+        gain = _gains(cum[features, positions], cum[features, n - 1],
+                      (positions + 1).astype(float), n, params.lam)
+        k = int(np.argmax(gain))  # first maximum: lowest feature, then lowest position
+        j, i = int(features[k]), int(positions[k])
+        a, b = cols.XS[j, I[j, i]], cols.XS[j, I[j, i + 1]]
+        threshold = (a + b) / 2.0
+        if not threshold < b:  # the midpoint of adjacent doubles can round up to b
+            threshold = a
+        best = (float(gain[k]), int(cols.sorted_ids[j]), threshold, I[j, :i + 1])
+    if columns.size:
+        # zeros in row order, then ones: the order of a stable sort by value.
+        # Reducing a row-major block down axis 0 adds row after row, so each
+        # column's sum is sequential, as a prefix sum would be.
+        rA = r[A][:, None]
+        block = np.empty((n + 1, B.shape[1]))
+        block[0] = 0.0
+        np.multiply(rA, ~B, out=block[1:])
+        left = np.add.reduce(block, axis=0)
+        block[0] = left
+        np.multiply(rA, B, out=block[1:])
+        totals = np.add.reduce(block, axis=0)
+        gain = _gains(left[columns], totals[columns], n0.astype(float), n, params.lam)
+        k = int(np.argmax(gain))
+        c = int(columns[k])
+        f = int(cols.binary_ids[c])
+        if best is None or gain[k] > best[0] or (gain[k] == best[0] and f < best[1]):
+            # the midpoint of 0 and 1; the zeros go left
+            best = (float(gain[k]), f, 0.5, A[~B[:, c]])
+    if best is None or not best[0] > params.min_gain:
         return None
-    cum = r[I]
-    np.cumsum(cum, axis=1, out=cum)
-    totals = cum[features, n - 1]
-    left_S = cum[features, positions]
-    lam = params.lam
-    left_n = (positions + 1).astype(float)
-    right_n = float(n) - left_n
-    right_S = totals - left_S
-    parent = (totals * totals) / (n + lam)
-    gain = left_S * left_S / (left_n + lam) + right_S * right_S / (right_n + lam) - parent
-    k = int(np.argmax(gain))  # first maximum: lowest feature, then lowest position
-    best = float(gain[k])
-    if not best > params.min_gain:
-        return None
-    f = int(features[k])
-    i = int(positions[k])
-    a, b = XT[f, I[f, i]], XT[f, I[f, i + 1]]
-    threshold = (a + b) / 2.0
-    if not threshold < b:  # the midpoint of adjacent doubles can round up to b
-        threshold = a
-    return best, f, threshold, i + 1
+    return best
 
 
-def _partition(I, left_rows, n_rows_total):
-    """Split a node's index block, keeping each row's sorted order."""
+def _partition(node, left_rows, n_rows_total, final=False):
+    """Split a node into its (A, B, I) children, keeping every order.
+
+    Final leaves need only row 0 of I, the feature-0 order their leaf
+    sums use.
+    """
+    A, B, I = node
     member = np.zeros(n_rows_total, dtype=bool)
     member[left_rows] = True
+    if final:
+        I = I[:1]
     flat = I.ravel()
     keep = member.take(flat)
     m, n = I.shape
     n_left = left_rows.shape[0]
     # compress over the flat block is several times faster than I[keep], same order
-    return (np.compress(keep, flat).reshape(m, n_left),
-            np.compress(~keep, flat).reshape(m, n - n_left))
+    I_left = np.compress(keep, flat).reshape(m, n_left)
+    I_right = np.compress(~keep, flat).reshape(m, n - n_left)
+    if final:
+        return (None, None, I_left), (None, None, I_right)
+    keep = member.take(A)
+    drop = ~keep
+    return ((np.compress(keep, A), np.compress(keep, B, axis=0), I_left),
+            (np.compress(drop, A), np.compress(drop, B, axis=0), I_right))
 
 
 def _leaf_value(I, r, params):
@@ -223,12 +304,12 @@ class _Builder:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def split(self, node_id, I, hit, feature_gain, n_rows, final=False):
-        """Make node_id an inner node; returns its (node_id, I) children.
+    def split(self, node_id, node, hit, feature_gain, n_rows, final=False):
+        """Make node_id an inner node; returns its (node_id, node) children.
 
-        Children that are final leaves only need row 0 of their blocks.
+        Children that are final leaves only get row 0 of their I blocks.
         """
-        gain, f, threshold, left_count = hit
+        gain, f, threshold, left_rows = hit
         feature_gain[f] += gain
         self.feature[node_id] = f
         self.threshold[node_id] = threshold
@@ -236,29 +317,29 @@ class _Builder:
         right_id = self.new_node()
         self.left[node_id] = left_id
         self.right[node_id] = right_id
-        I_left, I_right = _partition(I[:1] if final else I, I[f, :left_count], n_rows)
-        return (left_id, I_left), (right_id, I_right)
+        left, right = _partition(node, left_rows, n_rows, final)
+        return (left_id, left), (right_id, right)
 
     def finish(self, leaves, r, params, update):
-        for node_id, I in leaves:
+        for node_id, (_, _, I) in leaves:
             v = _leaf_value(I, r, params)
             self.value[node_id] = v
             update[I[0]] = v
         return Tree(self.feature, self.threshold, self.left, self.right, self.value)
 
 
-def _grow_depth_wise(scan, I_root, params, feature_gain, n_rows):
+def _grow_depth_wise(scan, root, params, feature_gain, n_rows):
     b = _Builder()
     leaves = []
-    level = [(b.new_node(), I_root)]
+    level = [(b.new_node(), root)]
     for depth in range(1, params.max_depth + 1):
         next_level = []
-        for node_id, I in level:
-            hit = scan(I)
+        for node_id, node in level:
+            hit = scan(node)
             if hit is None:
-                leaves.append((node_id, I))
+                leaves.append((node_id, node))
             else:
-                next_level.extend(b.split(node_id, I, hit, feature_gain, n_rows,
+                next_level.extend(b.split(node_id, node, hit, feature_gain, n_rows,
                                           final=depth == params.max_depth))
         level = next_level
         if not level:
@@ -267,34 +348,34 @@ def _grow_depth_wise(scan, I_root, params, feature_gain, n_rows):
     return b, leaves
 
 
-def _grow_leaf_wise(scan, I_root, params, feature_gain, n_rows):
+def _grow_leaf_wise(scan, root, params, feature_gain, n_rows):
     b = _Builder()
     leaves = []
     heap = []
     tick = 0  # creation order, the deterministic tie-break for equal gains
     n_leaves = 1
 
-    def consider(node_id, I):
+    def consider(node_id, node):
         nonlocal tick
         # once the leaf budget is spent no node splits again, so skip the scan
-        hit = scan(I) if n_leaves < params.num_leaves else None
+        hit = scan(node) if n_leaves < params.num_leaves else None
         if hit is None:
-            leaves.append((node_id, I))
+            leaves.append((node_id, node))
         else:
-            heapq.heappush(heap, (-hit[0], tick, node_id, I, hit))
+            heapq.heappush(heap, (-hit[0], tick, node_id, node, hit))
             tick += 1
 
-    consider(b.new_node(), I_root)
+    consider(b.new_node(), root)
     while heap and n_leaves < params.num_leaves:
-        _, _, node_id, I, hit = heapq.heappop(heap)
+        _, _, node_id, node, hit = heapq.heappop(heap)
         n_leaves += 1
-        children = b.split(node_id, I, hit, feature_gain, n_rows,
+        children = b.split(node_id, node, hit, feature_gain, n_rows,
                            final=n_leaves == params.num_leaves)
         for child in children:
             consider(*child)
     while heap:
-        _, _, node_id, I, _ = heapq.heappop(heap)
-        leaves.append((node_id, I))
+        _, _, node_id, node, _ = heapq.heappop(heap)
+        leaves.append((node_id, node))
     return b, leaves
 
 
@@ -313,15 +394,15 @@ def gbdt_fit(X, y, params):
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValueError("X and y must be finite")
 
-    XT = np.ascontiguousarray(X.T)
-    I_root = np.argsort(XT, axis=1, kind="stable")
-    # every tree starts from the same root block, so its candidates are fixed
+    cols = _Columns(X.T)
+    root = cols.node(np.arange(n))
+    # every tree starts from the same root, so its candidates are fixed
     root_candidates = None
     if n >= 2 * params.min_samples_leaf:
-        root_candidates = _candidates(I_root, XT, params.min_samples_leaf)
+        root_candidates = _candidates(root, cols.XS, params.min_samples_leaf)
 
-    def scan(I, r):
-        return _eval_node(I, XT, r, params, root_candidates if I is I_root else None)
+    def scan(node, r):
+        return _eval_node(node, cols, r, params, root_candidates if node is root else None)
 
     base = float(y.mean())
     pred = np.full(n, base)
@@ -334,7 +415,7 @@ def gbdt_fit(X, y, params):
     for _ in range(params.n_estimators):
         r = y - pred
         update.fill(0.0)
-        builder, leaves = grow(lambda I, r=r: scan(I, r), I_root, params, feature_gain, n)
+        builder, leaves = grow(lambda node, r=r: scan(node, r), root, params, feature_gain, n)
         trees.append(builder.finish(leaves, r, params, update))
         pred = pred + params.learning_rate * update
         mse = float(np.mean((y - pred) ** 2))
@@ -369,10 +450,9 @@ def find_best_split(node_rows, X, residuals, params):
     rows = np.asarray(node_rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("node_rows must be non-empty")
-    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    cols = _Columns(np.asarray(X, dtype=float).T)
     r = np.asarray(residuals, dtype=float)
-    I = rows[np.argsort(XT[:, rows], axis=1, kind="stable")]
-    hit = _eval_node(I, XT, r, params)
+    hit = _eval_node(cols.node(rows), cols, r, params)
     if hit is None:
         return None
     gain, f, threshold, _ = hit

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import math
 
@@ -158,6 +159,54 @@ def duplicate_heavy(rng, n, m):
         else:
             X[:, j] = rng.randint(0, rng.randint(1, 6), size=n).astype(float)
     return X
+
+
+def one_hot_heavy(rng, n, m):
+    """m columns that are mostly 0/1: the engine carries those in its bool block.
+
+    One-hot groups, rare flags and all-zero columns, with some zeros
+    stored as -0.0; column 0 is often binary, though the engine keeps it
+    sorted. A twin pair puts a 0/1 flag next to twice itself, a {0, 2}
+    column that prices every split exactly like the flag, in either
+    order, so ties between the sorted and the binary group are exercised.
+    """
+    X = np.empty((n, m))
+    j = 0
+    while j < m:
+        kind = rng.randint(5)
+        flag = (rng.rand(n) < rng.choice([0.01, 0.05, 0.2, 0.5])).astype(float)
+        if kind == 0:
+            k = min(int(rng.randint(2, 6)), m - j)
+            X[:, j:j + k] = np.eye(k)[rng.randint(k, size=n)]
+            j += k
+            continue
+        if kind == 1:
+            X[:, j] = flag
+        elif kind == 2:
+            X[:, j] = 0.0
+        elif kind == 3:
+            X[:, j] = np.round(rng.randn(n), 1)
+        else:
+            pair = (flag, 2.0 * flag) if rng.rand() < 0.5 else (2.0 * flag, flag)
+            X[:, j:j + 2] = np.column_stack(pair)[:, :m - j]
+            j += 1
+        j += 1
+    X[(X == 0.0) & (rng.rand(n, m) < 0.3)] = -0.0
+    return X
+
+
+def golden_matrix():
+    """600 rows: two one-hot groups, three flags and four rounded normals."""
+    rng = np.random.RandomState(2021)
+    n = 600
+    cont = np.round(rng.randn(n, 4), 2)
+    cont[:, 3] = rng.randint(1, 9, size=n)
+    groups = [np.eye(k)[rng.randint(k, size=n)] for k in (6, 9)]
+    flags = (rng.rand(n, 3) < [[0.5, 0.1, 0.02]]).astype(float)
+    X = np.hstack([cont[:, :2], groups[0], cont[:, 2:], groups[1], flags])
+    effects = np.round(rng.randn(X.shape[1]), 1)
+    y = X @ effects + 0.3 * rng.randn(n)
+    return X, y
 
 
 def test_single_round_hand_trace():
@@ -360,33 +409,34 @@ def test_fit_twice_same_serialized_bytes():
 @pytest.mark.parametrize("growth", ["depth_wise", "leaf_wise"])
 @pytest.mark.parametrize("min_samples_leaf", [1, 5, 20])
 def test_whole_trees_match_reference_grower(growth, min_samples_leaf):
-    rng = np.random.RandomState(11 + min_samples_leaf)
-    for trial in range(3):
-        n = int(rng.randint(40, 140))
-        X = duplicate_heavy(rng, n, int(rng.randint(1, 5)))
-        y = X @ rng.randn(X.shape[1]) + 0.3 * rng.randn(n)
-        if trial == 2:
-            y = np.round(y, 1)
-        params = gbdt.GbdtParams(
-            n_estimators=4, learning_rate=0.3, growth=growth, max_depth=3,
-            num_leaves=6, min_samples_leaf=min_samples_leaf,
-            alpha=float(rng.choice([0.0, 0.2])), lam=float(rng.choice([0.0, 1.0])),
-            min_gain=float(rng.choice([0.0, 0.05])))
-        want = dumps(model_to_doc(reference_fit(X, y, params), PIPELINE_SHA256))
-        got = gbdt.gbdt_fit(X, y, params)
-        got_doc = model_to_doc(got, PIPELINE_SHA256)
-        assert dumps(got_doc) == want, (growth, min_samples_leaf, trial)
+    for columns, widths in ((duplicate_heavy, (1, 5)), (one_hot_heavy, (3, 12))):
+        rng = np.random.RandomState(11 + min_samples_leaf)
+        for trial in range(3):
+            n = int(rng.randint(40, 140))
+            X = columns(rng, n, int(rng.randint(*widths)))
+            y = X @ rng.randn(X.shape[1]) + 0.3 * rng.randn(n)
+            if trial == 2:
+                y = np.round(y, 1)
+            params = gbdt.GbdtParams(
+                n_estimators=4, learning_rate=0.3, growth=growth, max_depth=3,
+                num_leaves=6, min_samples_leaf=min_samples_leaf,
+                alpha=float(rng.choice([0.0, 0.2])), lam=float(rng.choice([0.0, 1.0])),
+                min_gain=float(rng.choice([0.0, 0.05])))
+            want = dumps(model_to_doc(reference_fit(X, y, params), PIPELINE_SHA256))
+            got = gbdt.gbdt_fit(X, y, params)
+            got_doc = model_to_doc(got, PIPELINE_SHA256)
+            assert dumps(got_doc) == want, (columns.__name__, growth, min_samples_leaf, trial)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), m=st.integers(1, 5),
        min_samples_leaf=st.sampled_from([1, 2, 5, 20, 200]),
        lam=st.sampled_from([0.0, 0.5, 1.0]), min_gain=st.sampled_from([0.0, 0.1]),
-       rounded=st.booleans())
+       rounded=st.booleans(), one_hot=st.booleans())
 def test_split_matches_brute_force_on_duplicate_heavy_columns(
-        seed, n, m, min_samples_leaf, lam, min_gain, rounded):
+        seed, n, m, min_samples_leaf, lam, min_gain, rounded, one_hot):
     rng = np.random.RandomState(seed)
-    X = duplicate_heavy(rng, n, m)
+    X = one_hot_heavy(rng, n, 2 * m + 1) if one_hot else duplicate_heavy(rng, n, m)
     r = rng.randn(n)
     if rounded:
         r = np.round(r, 2)
@@ -417,3 +467,63 @@ def test_threshold_between_adjacent_doubles_routes_like_training():
     assert np.array_equal(gbdt.gbdt_predict(model, X), HAND_Y)
     assert gbdt.find_best_split([0, 1, 2, 3], X, HAND_Y - 5.0, hand_params()) == \
         brute_force_split([0, 1, 2, 3], X, HAND_Y - 5.0, hand_params())
+
+
+@pytest.mark.parametrize("n0, allowed", [(2, False), (3, True), (7, True), (8, False)])
+def test_binary_candidate_window_edges(n0, allowed):
+    # column 1 has its n0 zeros first, and column 2 is a flag too, so both
+    # go to the bool block; with n = 10 and min_samples_leaf = 3 the split
+    # after the zeros needs min_samples_leaf <= n0 <= n - min_samples_leaf
+    X = np.zeros((10, 3))
+    X[:, 0] = 7.0  # constant: no candidate in the sorted group
+    X[n0:, 1] = 1.0
+    X[::2, 2] = 1.0
+    r = np.where(X[:, 1] == 1.0, 1.0, -1.0) * np.linspace(1.0, 2.0, 10)
+    params = hand_params(min_samples_leaf=3)
+    got = gbdt.find_best_split(range(10), X, r, params)
+    assert got == brute_force_split(list(range(10)), X, r, params)
+    assert (got is not None and got[:2] == (1, 0.5)) == allowed
+
+
+@pytest.mark.parametrize("twin_first", [True, False])
+def test_ties_across_the_sorted_and_binary_group_go_to_the_lower_feature(twin_first):
+    # a {0, 2} column and its 0/1 half price every split alike; only their
+    # thresholds (1.0 against 0.5) tell the winner apart
+    flag = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    pair = [2.0 * flag, flag] if twin_first else [flag, 2.0 * flag]
+    X = np.column_stack([np.full(6, 3.0), *pair, 1.0 - flag])
+    r = np.array([-1.0, -2.0, 1.5, 1.0, -0.5, 2.0])
+    got = gbdt.find_best_split(range(6), X, r, hand_params())
+    assert got[:2] == ((1, 1.0) if twin_first else (1, 0.5))
+    assert got == brute_force_split(list(range(6)), X, r, hand_params())
+
+
+def test_all_binary_matrix_matches_reference_grower():
+    rng = np.random.RandomState(5)
+    X = (rng.rand(90, 6) < [[0.5, 0.3, 0.1, 0.5, 0.05, 0.7]]).astype(float)
+    X[(X == 0.0) & (rng.rand(90, 6) < 0.5)] = -0.0
+    y = X @ rng.randn(6) + 0.2 * rng.randn(90)
+    for growth in ("depth_wise", "leaf_wise"):
+        params = gbdt.GbdtParams(n_estimators=4, learning_rate=0.5, growth=growth,
+                                 max_depth=4, num_leaves=9, min_samples_leaf=3,
+                                 alpha=0.1, lam=1.0)
+        want = dumps(model_to_doc(reference_fit(X, y, params), PIPELINE_SHA256))
+        assert dumps(model_to_doc(gbdt.gbdt_fit(X, y, params), PIPELINE_SHA256)) == want
+
+
+# sha256 of the model files written by the engine that carried every
+# feature in its sorted block; any later engine must write the same bytes
+GOLDEN_MODEL_SHA256 = {
+    "depth_wise": "a8b2b1d3832f6298b21b9a15184960c0890a7a46743df5dd81d797b67c53bc0a",
+    "leaf_wise": "cd0c5d62ff4e347d03d929b1073fbd7746c492ab119f7437924e99549646c30b",
+}
+
+
+@pytest.mark.parametrize("growth", sorted(GOLDEN_MODEL_SHA256))
+def test_model_bytes_match_golden_sha256(growth):
+    X, y = golden_matrix()
+    params = gbdt.GbdtParams(n_estimators=5, learning_rate=0.2, growth=growth,
+                             max_depth=5, num_leaves=12, min_samples_leaf=8,
+                             alpha=0.1, lam=1.0)
+    text = dumps(model_to_doc(gbdt.gbdt_fit(X, y, params), PIPELINE_SHA256))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_SHA256[growth]
