@@ -92,8 +92,7 @@ def cmd_ingest(args):
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _claiming() as claim:
-        dataset_path = Path(cfg.dataset) if cfg.dataset else out_dir / "dataset.json"
-        serialize.dump_file(ingest.dataset_to_doc(dataset), claim(dataset_path))
+        serialize.dump_file(ingest.dataset_to_doc(dataset), claim(cfg.dataset_path))
         serialize.dump_file(dataset.drop_log, claim(out_dir / "drop_log.json"))
     n_reviews = sum(len(v) for v in dataset.reviews_by_listing.values())
     log.info("ingested %d listings and %d reviews from %d city file pairs (%d rows dropped)",
@@ -120,8 +119,7 @@ def _fit_entry(cfg, index, entry, mat_train, mat_val, grid_docs):
 
 def cmd_train(args):
     cfg = _load_cfg(args)
-    dataset_path = Path(cfg.dataset) if cfg.dataset else Path(cfg.out) / "dataset.json"
-    dataset = _load_doc(dataset_path, ingest.dataset_from_doc, "dataset")
+    dataset = _load_doc(cfg.dataset_path, ingest.dataset_from_doc, "dataset")
     lexicon = load_lexicon(cfg.lexicon or synth.default_lexicon_path())
     stopwords = load_stopwords(cfg.stopwords or synth.default_stopwords_path())
 

@@ -6,24 +6,17 @@ report.json so a run can be reproduced from its own report.
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .geofeat import GEO_METRICS
 from .models.registry import params_from_entry
 from .serialize import dataclass_from_doc
-from .transform import SCALER_KINDS
+from .transform import DEFAULT_SCALER_MAP, SCALED_COLUMNS, SCALER_KINDS
 
 
 class ConfigError(ValueError):
     """Invalid or unreadable configuration."""
 
-
-DEFAULT_SCALER_MAP = {
-    "accommodates": "standard",
-    "availability_365": "standard",
-    "bedrooms": "standard",
-    "reviews_per_month": "robust",
-    "host_experience_months": "robust",
-}
 
 DEFAULT_ROOM_TYPES = ["Shared room", "Private room", "Hotel room", "Entire home/apt"]
 
@@ -52,6 +45,11 @@ class PipelineConfig:
     cluster_svg: bool = True
     out: str = "out"
 
+    @property
+    def dataset_path(self):
+        """Where ingest writes the dataset and train reads it: dataset, else <out>/dataset.json."""
+        return Path(self.dataset) if self.dataset else Path(self.out) / "dataset.json"
+
     def validate(self):
         if self.geo_metric not in GEO_METRICS:
             raise ConfigError("geo_metric must be one of %s" % (GEO_METRICS,))
@@ -66,6 +64,9 @@ class PipelineConfig:
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ConfigError("split_ratios must sum to 1")
         for column, kind in self.scaler_map.items():
+            if column not in SCALED_COLUMNS:
+                raise ConfigError("scaler_map column %r is not one of %s"
+                                  % (column, ", ".join(SCALED_COLUMNS)))
             if kind not in SCALER_KINDS:
                 raise ConfigError("unknown scaler kind %r for column %r" % (kind, column))
         if not isinstance(self.models, list) or not self.models:

@@ -7,9 +7,17 @@ split is priced by
 
 with S the residual sum inside a node, and leaf values are the
 soft-thresholded node sums soft(S, alpha)/(n + lambda), which is how the
-alpha (L1) and lambda (L2) penalties enter. Growth is either depth_wise
-(expand whole levels to max_depth) or leaf_wise (always split the leaf
-with the globally largest gain until num_leaves).
+alpha (L1) and lambda (L2) penalties enter.
+
+One grower serves both policies; a policy is the key that picks the next
+open node to split and the one limit that stops growth:
+
+- depth_wise (level-wise, as in XGBoost) splits by (depth, creation
+  order), so whole levels in turn, and max_depth bounds the depth; a tree
+  can have more than num_leaves leaves;
+- leaf_wise (best-first, as in LightGBM) splits the open node with the
+  largest gain first, and num_leaves bounds the leaf count; a tree can be
+  deeper than max_depth.
 
 Splits are found by the exact greedy algorithm over presorted column
 blocks (Chen & Guestrin, KDD 2016). A feature whose every training value
@@ -43,10 +51,10 @@ A node is priced in two steps:
 
 The root, and so its candidates, is the same for every tree and is
 built once per fit. A split compresses A and B with one row mask and I
-row by row. Nodes that can never split again (the depth cap, the leaf
-budget, too few rows) are not scanned, and final leaves keep only row 0
-of I, the feature-0 order their leaf sums use; feature 0 stays in I for
-that reason even when it is binary.
+row by row. A node is scanned only while the tree is inside the
+policy's limit, and the children of a split that reaches it are final
+leaves: they keep only row 0 of I, the feature-0 order their leaf sums
+use; feature 0 stays in I for that reason even when it is binary.
 """
 
 import heapq
@@ -70,7 +78,7 @@ class GbdtParams:
     lam: float = field(default=1.0, metadata={"json": "lambda"})
     min_gain: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if not (0.0 < self.learning_rate <= 1.0):
@@ -288,100 +296,59 @@ def _leaf_value(I, r, params):
     return math.copysign(magnitude, total) / (I.shape[1] + params.lam)
 
 
-class _Builder:
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
+def _grow(cols, root, root_candidates, r, params, feature_gain, update):
+    """One tree on the residuals r; also writes each row's leaf value into update.
 
-    def new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    Scanned nodes with a split wait in one heap. depth_wise pops by
+    (depth, node id), so whole levels split in creation order, and only
+    max_depth limits it; leaf_wise pops by (-gain, node id), the best
+    split first, and only num_leaves limits it. Node ids count up in
+    creation order, so the id is the tie-break.
+    """
+    depth_wise = params.growth == "depth_wise"
+    max_depth = params.max_depth if depth_wise else math.inf
+    max_leaves = math.inf if depth_wise else params.num_leaves
+    n_leaves = 1
 
-    def split(self, node_id, node, hit, feature_gain, n_rows, final=False):
-        """Make node_id an inner node; returns its (node_id, node) children.
+    def inside(depth):
+        """Whether a node at depth is scanned; a split's children are final leaves if not."""
+        return depth < max_depth and n_leaves < max_leaves
 
-        Children that are final leaves only get row 0 of their I blocks.
-        """
-        gain, f, threshold, left_rows = hit
-        feature_gain[f] += gain
-        self.feature[node_id] = f
-        self.threshold[node_id] = threshold
-        left_id = self.new_node()
-        right_id = self.new_node()
-        self.left[node_id] = left_id
-        self.right[node_id] = right_id
-        left, right = _partition(node, left_rows, n_rows, final)
-        return (left_id, left), (right_id, right)
-
-    def finish(self, leaves, r, params, update):
-        for node_id, (_, _, I) in leaves:
-            v = _leaf_value(I, r, params)
-            self.value[node_id] = v
-            update[I[0]] = v
-        return Tree(self.feature, self.threshold, self.left, self.right, self.value)
-
-
-def _grow_depth_wise(scan, root, params, feature_gain, n_rows):
-    b = _Builder()
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
     leaves = []
-    level = [(b.new_node(), root)]
-    for depth in range(1, params.max_depth + 1):
-        next_level = []
-        for node_id, node in level:
-            hit = scan(node)
+    heap = []
+    fresh = [(0, 0, root)]  # (node id, depth, node) not yet scanned
+    while True:
+        for node_id, depth, node in fresh:
+            hit = None
+            if inside(depth):
+                hit = _eval_node(node, cols, r, params, None if node_id else root_candidates)
             if hit is None:
                 leaves.append((node_id, node))
             else:
-                next_level.extend(b.split(node_id, node, hit, feature_gain, n_rows,
-                                          final=depth == params.max_depth))
-        level = next_level
-        if not level:
+                key = depth if depth_wise else -hit[0]
+                heapq.heappush(heap, (key, node_id, depth, node, hit))
+        if not heap or n_leaves >= max_leaves:
             break
-    leaves.extend(level)  # depth cap reached
-    return b, leaves
-
-
-def _grow_leaf_wise(scan, root, params, feature_gain, n_rows):
-    b = _Builder()
-    leaves = []
-    heap = []
-    tick = 0  # creation order, the deterministic tie-break for equal gains
-    n_leaves = 1
-
-    def consider(node_id, node):
-        nonlocal tick
-        # once the leaf budget is spent no node splits again, so skip the scan
-        hit = scan(node) if n_leaves < params.num_leaves else None
-        if hit is None:
-            leaves.append((node_id, node))
-        else:
-            heapq.heappush(heap, (-hit[0], tick, node_id, node, hit))
-            tick += 1
-
-    consider(b.new_node(), root)
-    while heap and n_leaves < params.num_leaves:
-        _, _, node_id, node, hit = heapq.heappop(heap)
+        _, node_id, depth, node, (gain, f, t, left_rows) = heapq.heappop(heap)
         n_leaves += 1
-        children = b.split(node_id, node, hit, feature_gain, n_rows,
-                           final=n_leaves == params.num_leaves)
-        for child in children:
-            consider(*child)
-    while heap:
-        _, _, node_id, node, _ = heapq.heappop(heap)
-        leaves.append((node_id, node))
-    return b, leaves
+        feature_gain[f] += gain
+        feature[node_id], threshold[node_id] = f, t
+        left[node_id], right[node_id] = len(feature), len(feature) + 1
+        children = _partition(node, left_rows, r.shape[0], final=not inside(depth + 1))
+        fresh = [(len(feature) + i, depth + 1, child) for i, child in enumerate(children)]
+        for array, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+            array += [blank, blank]
+    leaves += [(node_id, node) for _, node_id, _, node, _ in heap]
+    value = [0.0] * len(feature)
+    for node_id, (_, _, I) in leaves:
+        value[node_id] = _leaf_value(I, r, params)
+        update[I[0]] = value[node_id]
+    return Tree(feature, threshold, left, right, value)
 
 
 def gbdt_fit(X, y, params):
     """Boost params.n_estimators trees against squared-error residuals."""
-    params.validate()
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -401,22 +368,16 @@ def gbdt_fit(X, y, params):
     if n >= 2 * params.min_samples_leaf:
         root_candidates = _candidates(root, cols.XS, params.min_samples_leaf)
 
-    def scan(node, r):
-        return _eval_node(node, cols, r, params, root_candidates if node is root else None)
-
     base = float(y.mean())
     pred = np.full(n, base)
     feature_gain = np.zeros(m)
     trees = []
     history = []
-    grow = _grow_depth_wise if params.growth == "depth_wise" else _grow_leaf_wise
     prev_mse = float(np.mean((y - pred) ** 2))
-    update = np.empty(n)
+    update = np.empty(n)  # _grow sets every row: the leaves partition them
     for _ in range(params.n_estimators):
         r = y - pred
-        update.fill(0.0)
-        builder, leaves = grow(lambda node, r=r: scan(node, r), root, params, feature_gain, n)
-        trees.append(builder.finish(leaves, r, params, update))
+        trees.append(_grow(cols, root, root_candidates, r, params, feature_gain, update))
         pred = pred + params.learning_rate * update
         mse = float(np.mean((y - pred) ** 2))
         # squared loss with learning_rate <= 1 cannot get worse on the

@@ -19,6 +19,12 @@ class MlpParams:
     batch_size: int = 256
     step_size: float = 1e-3
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1 or self.step_size <= 0.0:
+            raise ValueError("epochs and batch_size must be >= 1, step_size > 0")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError("every hidden size must be >= 1")
+
 
 @dataclass(frozen=True)
 class MlpShape:

@@ -19,6 +19,10 @@ LAMBDA_FLOOR = 1e-10
 class RidgeParams:
     lam: float = field(default=1.0, metadata={"json": "lambda"})
 
+    def __post_init__(self):
+        if self.lam < 0.0:
+            raise ValueError("lambda must be >= 0")
+
 
 @dataclass(eq=False)
 class RidgeModel:

@@ -28,6 +28,14 @@ NUMERIC_COLUMNS = ("accommodates", "availability_365", "reviews_per_month", "bed
 OPTIONAL_NUMERIC = NUMERIC_COLUMNS[1:]
 # the columns _numeric and _host scale
 SCALED_COLUMNS = NUMERIC_COLUMNS + ("host_experience_months",)
+# each scaled column's scaler kind; a config's scaler_map is laid over it
+DEFAULT_SCALER_MAP = {
+    "accommodates": "standard",
+    "availability_365": "standard",
+    "bedrooms": "standard",
+    "reviews_per_month": "robust",
+    "host_experience_months": "robust",
+}
 SCALER_KINDS = ("minmax", "standard", "robust")
 
 
@@ -171,18 +179,17 @@ def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords):
     neighbourhoods = geofeat.fit_neighbourhood_stats(train, cfg.top_n_neighbourhoods)
     snapshot = resolve_snapshot_date(dataset, cfg.snapshot_date)
 
+    kinds = {**DEFAULT_SCALER_MAP, **cfg.scaler_map}
     scalers = {}
     medians = {}
     for name in NUMERIC_COLUMNS:
         present = [getattr(r, name) for r in train if getattr(r, name) is not None]
         if not present:
             raise ValueError("empty column %s" % name)
-        kind = cfg.scaler_map.get(name, "standard")
-        scalers[name] = fit_scaler(present, kind)
+        scalers[name] = fit_scaler(present, kinds[name])
         medians[name] = _interp_quantile(np.sort(np.asarray(present, dtype=float)), 0.5)
     months = [float(host_experience_months(r.host_since, snapshot)[0]) for r in train]
-    scalers["host_experience_months"] = fit_scaler(
-        months, cfg.scaler_map.get("host_experience_months", "robust"))
+    scalers["host_experience_months"] = fit_scaler(months, kinds["host_experience_months"])
 
     return FittedPipeline(
         lexicon=lexicon,

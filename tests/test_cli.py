@@ -277,6 +277,51 @@ def test_mistyped_grid_value_exits_2_with_one_line(trained, tmp_path, caplog):
     assert len(errors) == 1 and "ridge params: key 'lambda'" in errors[0], errors
 
 
+@pytest.mark.parametrize("models,grid,expected", [
+    pytest.param([{"kind": "gbdt", "max_depth": 0}], None,
+                 "gbdt params: max_depth must be >= 1", id="gbdt max_depth 0"),
+    pytest.param([{"kind": "mlp", "hidden_sizes": [8, 0]}], None,
+                 "mlp params: every hidden size must be >= 1", id="mlp hidden size 0"),
+    pytest.param([{"kind": "gbdt"}], {"params": {"learning_rate": [0.1, 1.5]}},
+                 "gbdt params: learning_rate must be in (0, 1]", id="grid learning_rate 1.5"),
+    pytest.param([{"kind": "ridge"}], {"params": {"lambda": [1.0, -0.5]}},
+                 "ridge params: lambda must be >= 0", id="grid lambda -0.5"),
+])
+def test_out_of_range_model_param_exits_2_as_the_config_loads(tmp_path, caplog, models, grid,
+                                                              expected):
+    # the dataset does not exist: the run must stop before it would read it
+    cfg = write_config(tmp_path / "c.json", dataset=str(tmp_path / "absent.json"),
+                       out=str(tmp_path / "o"), models=models,
+                       **({"grid": grid} if grid else {}))
+    assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and expected in errors[0], errors
+    assert not (tmp_path / "o").exists()
+
+
+def test_scaler_map_typo_exits_2_with_one_line(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    cfg = write_config(tmp_path / "c.json", dataset=str(out / "dataset.json"),
+                       out=str(tmp_path / "o"), scaler_map={"bedroom": "minmax"})
+    assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "scaler_map column 'bedroom'" in errors[0], errors
+    assert not (tmp_path / "o").exists()
+
+
+def test_partial_scaler_map_keeps_the_other_defaults(trained, tmp_path):
+    tmp, out, config = trained
+    cfg = write_config(tmp_path / "c.json", dataset=str(out / "dataset.json"),
+                       out=str(tmp_path / "o"), k_clusters=2, min_df=1,
+                       models=[{"kind": "ridge"}], cluster_svg=False,
+                       scaler_map={"accommodates": "minmax"})
+    assert main(["train", "--config", cfg]) == 0
+    scalers = load_file(tmp_path / "o" / "pipeline.json")["scalers"]
+    assert {name: s["kind"] for name, s in scalers.items()} == {
+        "accommodates": "minmax", "availability_365": "standard", "reviews_per_month": "robust",
+        "bedrooms": "standard", "host_experience_months": "robust"}
+
+
 def drop_key(key):
     return lambda doc: doc.pop(key)
 
@@ -553,6 +598,12 @@ def mlp_doc(out):
                  "model: feature_gain has 23 entries for 24 features", id="short feature_gain"),
     pytest.param("model_0_ridge.json", set_at(1, "bogus"), "model: unknown key 'bogus'",
                  id="unknown key"),
+    pytest.param("model_1_gbdt.json",
+                 set_at(lambda p: {**p, "learning_rate": -3, "growth": "sideways",
+                                   "num_leaves": 0}, "params"),
+                 "model params: learning_rate must be in (0, 1]", id="out-of-range gbdt params"),
+    pytest.param("model_0_ridge.json", set_at(-1.0, "params", "lambda"),
+                 "model params: lambda must be >= 0", id="negative ridge lambda"),
 ])
 def test_malformed_model_exits_2_naming_the_file(trained, tmp_path, caplog, source, spoil,
                                                  expected):

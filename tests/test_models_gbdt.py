@@ -373,7 +373,7 @@ def test_param_validation():
            dict(min_gain=-1.0)]
     for kw in bad:
         with pytest.raises(ValueError):
-            gbdt.GbdtParams(**kw).validate()
+            gbdt.GbdtParams(**kw)
     with pytest.raises(ValueError):
         gbdt.gbdt_fit(np.zeros((0, 1)), np.zeros(0), hand_params())
     with pytest.raises(ValueError):
@@ -406,9 +406,19 @@ def test_fit_twice_same_serialized_bytes():
     assert dumps(model_to_doc(a, PIPELINE_SHA256)) == dumps(model_to_doc(b, PIPELINE_SHA256))
 
 
+def tree_depth(tree):
+    # children lie after their node, so one pass in id order sees every parent first
+    depth = [0] * len(tree.feature)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return max(depth)
+
+
 @pytest.mark.parametrize("growth", ["depth_wise", "leaf_wise"])
 @pytest.mark.parametrize("min_samples_leaf", [1, 5, 20])
 def test_whole_trees_match_reference_grower(growth, min_samples_leaf):
+    leaf_counts = []
+    depths = []
     for columns, widths in ((duplicate_heavy, (1, 5)), (one_hot_heavy, (3, 12))):
         rng = np.random.RandomState(11 + min_samples_leaf)
         for trial in range(3):
@@ -426,6 +436,15 @@ def test_whole_trees_match_reference_grower(growth, min_samples_leaf):
             got = gbdt.gbdt_fit(X, y, params)
             got_doc = model_to_doc(got, PIPELINE_SHA256)
             assert dumps(got_doc) == want, (columns.__name__, growth, min_samples_leaf, trial)
+            leaf_counts += [int(np.count_nonzero(tree.feature < 0)) for tree in got.trees]
+            depths += [tree_depth(tree) for tree in got.trees]
+    # each policy ignores the other's limit: depth-wise trees get more than
+    # num_leaves leaves and leaf-wise trees grow deeper than max_depth, except
+    # that under 160 rows cannot fill depth 3 at min_samples_leaf 20
+    if growth == "leaf_wise":
+        assert max(depths) > 3
+    elif min_samples_leaf < 20:
+        assert max(leaf_counts) > 6
 
 
 @settings(max_examples=200, deadline=None)
