@@ -175,7 +175,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    out_dir = Path(args.out) if args.out else Path("out")
+    out_dir = Path(_load_cfg(args).out)
     pipeline_path = args.pipeline or out_dir / "pipeline.json"
     fitted = _load_doc(pipeline_path, transform.pipeline_from_doc, "pipeline")
     model, trained_with = _load_doc(

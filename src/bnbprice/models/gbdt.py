@@ -42,11 +42,15 @@ A node is priced in two steps:
   residuals along each row gives the left sums and the node totals. For
   B, a stable sort would put the zeros first in id order and then the
   ones, so the left sum adds r over the zero rows down the block, and
-  the total adds the one rows after it. Both are numpy reduces down
-  axis 0 of a row-major block, which add row after row: the same values
-  in the same order as the prefix sum, so every gain is bit-identical to
-  a plain left-to-right scan. (numpy sums along a contiguous axis
-  pairwise, which would not be.) Ties break to the lowest feature over
+  the total adds the one rows after it. Both are one einsum pass each,
+  w = [1, r[A]] against an (n + 1, b) float block: [0; ~B] gives the
+  left sums, then [left; B] the totals. A plain einsum keeps the column
+  axis inner and adds row after row, and each product r * 0 or r * 1 is
+  exact, so a fused multiply-add rounds as an add would: the same values
+  in the same order as the prefix sum, and every gain is bit-identical to
+  a plain left-to-right scan. Sums along a contiguous axis (a one-column
+  block), einsum's optimize=True and BLAS products add pairwise or in
+  blocks, which would not be. Ties break to the lowest feature over
   both parts, then the lowest position.
 
 The root, and so its candidates, is the same for every tree and is
@@ -159,8 +163,12 @@ class _Columns:
 
     A feature is binary when every training value is 0.0 or 1.0 (-0.0
     compares equal to 0.0). Feature 0 stays sorted, because leaf sums read
-    its order, and a lone binary feature does too: numpy reduces a
+    its order, and a lone binary feature does too: einsum sums a
     one-column block pairwise instead of row after row.
+
+    The binary sums of every node run in scratch allocated here once: an
+    (n + 1, b) float block, n + 1 weights whose entry 0 is 1.0, and n + 1
+    ones; a node of n_node rows uses their first n_node + 1 entries.
     """
 
     def __init__(self, XT):
@@ -172,6 +180,11 @@ class _Columns:
         self.binary_ids = np.flatnonzero(binary)
         self.XS = np.ascontiguousarray(XT[self.sorted_ids])  # row j: values of sorted_ids[j]
         self.XB = XT[self.binary_ids] == 1.0
+        n = XT.shape[1]
+        self.block = np.empty((n + 1, self.binary_ids.size))
+        self.weights = np.empty(n + 1)
+        self.weights[0] = 1.0
+        self.ones = np.ones(n + 1)
 
     def node(self, rows):
         """(A, B, I) of the node holding rows; ties in I keep the order of rows."""
@@ -180,24 +193,34 @@ class _Columns:
         I = A[np.argsort(self.XS[:, A], axis=1, kind="stable")]
         return A, B, I
 
+    def zeros(self, B):
+        """The scratch block's first n + 1 rows, set to [0; ~B] as floats."""
+        block = self.block[:B.shape[0] + 1]
+        block[0] = 0.0
+        np.logical_not(B, out=block[1:])
+        return block
 
-def _candidates(node, XS, min_samples_leaf):
+
+def _candidates(node, cols, zeros, min_samples_leaf):
     """A node's allowed splits: (rows of I, positions) and (columns of B, zero counts).
 
     A split after sorted position i sends i + 1 rows left and n - i - 1
     right. It is allowed when both sides keep min_samples_leaf rows, a
     window taken as a slice, and the sorted values at i and i + 1 differ.
     A binary column's only split sends its n0 zeros left, at position
-    n0 - 1. The node must hold at least 2 * min_samples_leaf rows.
+    n0 - 1. zeros is cols.zeros(B); n0 is its column sums, one
+    matrix-vector product, exact in any order since they are whole
+    numbers. The node must hold at least 2 * min_samples_leaf rows.
     """
     A, B, I = node
     n = A.shape[0]
+    XS = cols.XS
     lo = min_samples_leaf - 1
     hi = n - min_samples_leaf
     # one flat take: row j of the window reads row j of XS
     xs = XS.ravel().take(I[:, lo:hi + 1] + np.arange(0, XS.size, XS.shape[1])[:, None])
     features, positions = np.divmod(np.flatnonzero(xs[:, :-1] != xs[:, 1:]), hi - lo)
-    n0 = n - np.count_nonzero(B, axis=0)
+    n0 = cols.ones[:n + 1] @ zeros
     columns = np.flatnonzero((min_samples_leaf <= n0) & (n0 <= hi))
     return features, positions + lo, columns, n0[columns]
 
@@ -222,8 +245,9 @@ def _eval_node(node, cols, r, params, candidates=None):
     n = A.shape[0]
     if n < 2 * params.min_samples_leaf:
         return None
+    block = cols.zeros(B)
     if candidates is None:
-        candidates = _candidates(node, cols.XS, params.min_samples_leaf)
+        candidates = _candidates(node, cols, block, params.min_samples_leaf)
     features, positions, columns, n0 = candidates
     best = None
     if features.size:
@@ -240,17 +264,17 @@ def _eval_node(node, cols, r, params, candidates=None):
         best = (float(gain[k]), int(cols.sorted_ids[j]), threshold, I[j, :i + 1])
     if columns.size:
         # zeros in row order, then ones: the order of a stable sort by value.
-        # Reducing a row-major block down axis 0 adds row after row, so each
+        # w = [1, r[A]] against [0; ~B] adds r over the zero rows; against
+        # [left; B] it adds the one rows after left. einsum adds row after
+        # row down a row-major block, and each product is exact, so each
         # column's sum is sequential, as a prefix sum would be.
-        rA = r[A][:, None]
-        block = np.empty((n + 1, B.shape[1]))
-        block[0] = 0.0
-        np.multiply(rA, ~B, out=block[1:])
-        left = np.add.reduce(block, axis=0)
+        w = cols.weights[:n + 1]
+        r.take(A, out=w[1:])
+        left = np.einsum("i,ij->j", w, block)
         block[0] = left
-        np.multiply(rA, B, out=block[1:])
-        totals = np.add.reduce(block, axis=0)
-        gain = _gains(left[columns], totals[columns], n0.astype(float), n, params.lam)
+        np.copyto(block[1:], B)
+        totals = np.einsum("i,ij->j", w, block)
+        gain = _gains(left[columns], totals[columns], n0, n, params.lam)
         k = int(np.argmax(gain))
         c = int(columns[k])
         f = int(cols.binary_ids[c])
@@ -366,7 +390,7 @@ def gbdt_fit(X, y, params):
     # every tree starts from the same root, so its candidates are fixed
     root_candidates = None
     if n >= 2 * params.min_samples_leaf:
-        root_candidates = _candidates(root, cols.XS, params.min_samples_leaf)
+        root_candidates = _candidates(root, cols, cols.zeros(root[1]), params.min_samples_leaf)
 
     base = float(y.mean())
     pred = np.full(n, base)

@@ -104,6 +104,30 @@ def test_predict_without_reviews_still_scores(trained):
     assert len(text.splitlines()) == 151
 
 
+def test_predict_reads_out_from_config_and_out_overrides_it(trained, tmp_path, monkeypatch):
+    # the README's `predict --config config.json --model <out>/...` with a config
+    # whose out is not the default: pipeline.json is read from, and the
+    # predictions written to, the config's out unless --out names another
+    tmp, out, config = trained
+    monkeypatch.chdir(tmp_path)
+    for name in ("moved", "flag"):
+        (tmp_path / name).mkdir()
+        for file in ("pipeline.json", "model_1_gbdt.json"):
+            (tmp_path / name / file).write_bytes((out / file).read_bytes())
+    write_config(tmp_path / "config.json", out="moved")
+    args = ["predict", "--config", "config.json", "--model", "moved/model_1_gbdt.json",
+            "--listings", str(tmp / "data" / "listings.csv")]
+    assert main(args) == 0
+    assert main(args + ["--out", "flag"]) == 0
+    assert main(["predict", "--out", "default", "--pipeline", "moved/pipeline.json",
+                 *args[3:]]) == 0
+    want = read_csv(tmp_path / "default" / "predictions.csv")
+    assert len(want) == 151
+    assert read_csv(tmp_path / "moved" / "predictions.csv") == want
+    assert read_csv(tmp_path / "flag" / "predictions.csv") == want
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_rerun_is_byte_identical(trained):
     tmp, out, config = trained
     before = {name: (out / name).read_bytes()

@@ -546,3 +546,74 @@ def test_model_bytes_match_golden_sha256(growth):
                              alpha=0.1, lam=1.0)
     text = dumps(model_to_doc(gbdt.gbdt_fit(X, y, params), PIPELINE_SHA256))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_SHA256[growth]
+
+
+def spread_residuals(rng, n):
+    """Residuals of both signs from 1e-6 to 1e6 in size: adding them in any
+    order but left to right (pairwise, in blocks, from zero and then onto
+    another sum) changes low bits."""
+    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+
+
+@pytest.mark.parametrize("n", [9, 300, 5000])
+@pytest.mark.parametrize("width", [1, 2, 3, 52])
+def test_binary_column_sums_add_left_to_right(monkeypatch, width, n):
+    # a stable sort puts a 0/1 column's zero rows first in row order, then its
+    # one rows, so its left sum adds r over the zeros from left to right and
+    # its total adds the ones onto that sum; every gain the node prices must
+    # be the one that plain loop gives. Column 0 is constant, so every
+    # candidate is a 0/1 column's; width 1 is the lone column that stays sorted.
+    rng = np.random.RandomState(1000 * width + n)
+    X = np.zeros((n, width + 1))
+    X[:, 1:] = rng.rand(n, width) < rng.uniform(0.2, 0.8, size=width)
+    r = spread_residuals(rng, n)
+    lam = 1.0
+    want = ([], [], [], [])
+    values = r.tolist()
+    for c in range(1, width + 1):
+        zeros = [v for v, x in zip(values, X[:, c]) if x == 0.0]
+        if not 0 < len(zeros) < n:
+            continue
+        left = 0.0
+        for v in zeros:
+            left += v
+        total = left
+        for v, x in zip(values, X[:, c]):
+            if x == 1.0:
+                total += v
+        right, n_left = total - left, float(len(zeros))
+        gain = (left * left / (n_left + lam) + right * right / (n - n_left + lam)
+                - total * total / (n + lam))
+        for got, value in zip(want, (left, total, n_left, gain)):
+            got.append(value)
+    assert want[0]
+    seen = []
+    gains = gbdt._gains
+
+    def spy(left_S, totals, left_n, *rest):
+        gain = gains(left_S, totals, left_n, *rest)
+        seen.append((left_S.tolist(), totals.tolist(), left_n.tolist(), gain.tolist()))
+        return gain
+
+    monkeypatch.setattr(gbdt, "_gains", spy)
+    gbdt.find_best_split(range(n), X, r, hand_params(lam=lam))
+    assert seen == [want]
+
+
+def test_split_matches_brute_force_at_benchmark_size():
+    # the benchmark's training matrix is about 4000 rows of 52 0/1 and 10
+    # other columns at min_samples_leaf 20; price its root and a child-sized
+    # subset of rows against the left-to-right oracle
+    rng = np.random.RandomState(3)
+    n = 4000
+    X = one_hot_heavy(rng, n, 62)
+    cols = gbdt._Columns(X.T)
+    assert (cols.binary_ids.size, cols.sorted_ids.size) == (51, 11)
+    r = X @ rng.randn(62) + rng.randn(n)
+    r -= r.mean()
+    params = gbdt.GbdtParams(min_samples_leaf=20, lam=1.0)
+    subset = np.flatnonzero(rng.rand(n) < 0.4).tolist()
+    for rows in (list(range(n)), subset):
+        got = gbdt.find_best_split(rows, X, r, params)
+        assert got is not None
+        assert got == brute_force_split(rows, X, r, params)
