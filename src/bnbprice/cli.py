@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evalreport, geofeat, ingest, serialize, synth, transform
-from .config import ConfigError, load_config
+from .config import load_config
 from .models import fit_model, grid_search, model_from_doc, params_from_entry, predict_model
 from .textfeat import load_lexicon, load_stopwords
 
@@ -74,16 +74,13 @@ def cmd_ingest(args):
     cfg = _load_cfg(args)
     if not cfg.cities:
         raise CliError("config has no cities to ingest")
-    for label, paths in cfg.cities.items():
-        if not isinstance(paths, dict) or "listings" not in paths or "reviews" not in paths:
-            raise CliError("city %r needs listings and reviews paths" % label)
 
     all_listings = []
     all_reviews = []
     drops = []
-    for label, paths in cfg.cities.items():
-        listings, ldrops = _read_csv(paths["listings"], ingest.parse_listings, label)
-        reviews, rdrops = _read_csv(paths["reviews"], ingest.parse_reviews)
+    for label, files in cfg.cities.items():
+        listings, ldrops = _read_csv(files.listings, ingest.parse_listings, label)
+        reviews, rdrops = _read_csv(files.reviews, ingest.parse_reviews)
         all_listings += listings
         all_reviews += reviews
         drops += ldrops + rdrops
@@ -104,9 +101,9 @@ def cmd_ingest(args):
 def _fit_entry(cfg, index, entry, mat_train, mat_val, grid_docs):
     kind = entry["kind"]
     params = {k: v for k, v in entry.items() if k != "kind"}
-    if cfg.grid is not None and cfg.grid.get("model", 0) == index:
+    if cfg.grid is not None and cfg.grid.model == index:
         best_params, cells, model = grid_search(
-            kind, cfg.grid["params"], mat_train, mat_val,
+            kind, cfg.grid.params, mat_train, mat_val,
             base_params=params, seed=cfg.seed)
         params.update(best_params)
         grid_docs.append({"model_index": index, "kind": kind,
@@ -280,7 +277,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, ingest.IngestError, transform.AssemblyError,
+    except (CliError, ingest.IngestError, transform.AssemblyError,
             np.linalg.LinAlgError, RuntimeError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 2

@@ -8,13 +8,13 @@ real exports embed newlines inside descriptions and review comments.
 
 import collections
 import csv
+import itertools
 import math
 import re
-import reprlib
 from dataclasses import dataclass, fields
 from datetime import date
 
-from .serialize import check_rows, field
+from .serialize import field, rows_from_doc, rows_to_doc
 
 
 class IngestError(ValueError):
@@ -270,43 +270,26 @@ def join_dataset(listings, reviews, drops=None):
     )
 
 
-def dataset_to_doc(dataset):
-    """Flatten a Dataset into the JSON document shape used on disk."""
-    return {
-        "schema_version": 1,
-        "listings": [
-            [r.id, r.city, r.latitude, r.longitude, r.price_usd, r.accommodates,
-             r.availability_365, r.reviews_per_month, r.host_is_superhost,
-             r.host_since.isoformat() if r.host_since else None,
-             r.neighbourhood, r.room_type, r.bedrooms, r.description]
-            for r in dataset.listings
-        ],
-        "reviews": {
-            str(lid): [[rv.review_id, rv.date.isoformat(), rv.comments] for rv in rvs]
-            for lid, rvs in dataset.reviews_by_listing.items()
-        },
-        "drop_log": dict(dataset.drop_log),
-    }
-
-
-# (field, annotation) per column of a dataset.json row, where a date is its
-# ISO string; ingest keeps only priced listings, so a price is never null
-_ON_DISK = {date: str, date | None: str | None}
-_LISTING_COLUMNS = tuple((f.name, float if f.name == "price_usd" else _ON_DISK.get(f.type, f.type))
+# (field, annotation) per dataset.json column; ingest keeps only priced listings, so
+# a stored price is never null
+_LISTING_COLUMNS = tuple((f.name, float if f.name == "price_usd" else f.type)
                          for f in fields(ListingRecord))
 # a review row is stored under its listing id, without it
-_REVIEW_COLUMNS = tuple((f.name, _ON_DISK.get(f.type, f.type)) for f in fields(ReviewRecord))[1:]
+_REVIEW_COLUMNS = tuple((f.name, f.type) for f in fields(ReviewRecord))[1:]
 
 
-def _raise_bad_date(rows, j, name, where, optional):
-    """Raise a ValueError naming the first row whose date column j is not an ISO date."""
-    for number, row in enumerate(rows, 1):
-        try:
-            if row[j] or not optional:
-                date.fromisoformat(row[j])
-        except ValueError as exc:
-            raise ValueError("%s row %d: %r must be an ISO date, got %s (%s)" % (
-                where, number, name, reprlib.repr(row[j]), exc)) from None
+def dataset_to_doc(dataset):
+    """Flatten a Dataset into the JSON document shape used on disk."""
+    grouped = dataset.reviews_by_listing
+    # every review row in one pass, then cut into each listing's share
+    rows = iter(rows_to_doc(itertools.chain.from_iterable(grouped.values()), _REVIEW_COLUMNS))
+    return {
+        "schema_version": 1,
+        "listings": rows_to_doc(dataset.listings, _LISTING_COLUMNS),
+        "reviews": {str(lid): list(itertools.islice(rows, len(rvs)))
+                    for lid, rvs in grouped.items()},
+        "drop_log": dict(dataset.drop_log),
+    }
 
 
 def _listing_key(key):
@@ -320,35 +303,14 @@ def dataset_from_doc(doc):
     version = field(doc, "schema_version", int, "dataset")
     if version != 1:
         raise IngestError("unsupported dataset schema_version %r" % version)
-    rows = field(doc, "listings", list, "dataset")
-    check_rows(rows, _LISTING_COLUMNS, "dataset: listings")
+    listings = tuple(itertools.starmap(ListingRecord, rows_from_doc(
+        field(doc, "listings", list, "dataset"), _LISTING_COLUMNS, "dataset: listings")))
     grouped = field(doc, "reviews", dict, "dataset")
     lids = list(map(_listing_key, grouped))
-    review_rows = [rv for rvs in grouped.values() for rv in rvs]
-    check_rows(review_rows, _REVIEW_COLUMNS, "dataset: reviews")
-    try:
-        listings = tuple(
-            ListingRecord(
-                id=row[0], city=row[1], latitude=row[2], longitude=row[3],
-                price_usd=row[4], accommodates=row[5], availability_365=row[6],
-                reviews_per_month=row[7], host_is_superhost=row[8],
-                host_since=date.fromisoformat(row[9]) if row[9] else None,
-                neighbourhood=row[10], room_type=row[11], bedrooms=row[12],
-                description=row[13],
-            )
-            for row in rows
-        )
-        reviews = {
-            lid: tuple(ReviewRecord(listing_id=lid, review_id=rv[0],
-                                    date=date.fromisoformat(rv[1]), comments=rv[2])
-                       for rv in rvs)
-            for lid, rvs in zip(lids, grouped.values())
-        }
-    except ValueError:
-        # the bad row is looked for only after a failure, so a well-formed file pays nothing
-        _raise_bad_date(rows, 9, "host_since", "dataset: listings", optional=True)
-        _raise_bad_date(review_rows, 1, "date", "dataset: reviews", optional=False)
-        raise
+    rows = rows_from_doc([rv for rvs in grouped.values() for rv in rvs], _REVIEW_COLUMNS,
+                         "dataset: reviews")
+    reviews = {lid: tuple(ReviewRecord(lid, *row) for row in itertools.islice(rows, len(rvs)))
+               for lid, rvs in zip(lids, grouped.values())}
     _check_unique_ids(listings)
     return Dataset(listings=listings, reviews_by_listing=reviews,
                    drop_log=dict(field(doc, "drop_log", dict, "dataset")))

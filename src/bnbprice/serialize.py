@@ -97,17 +97,49 @@ def sha256_hex(blob):
     return _sha256(blob).hexdigest()
 
 
+class _NonFinite(ValueError):
+    """A NaN or Infinity literal, which no artifact is written with."""
+
+
 def _refuse_constant(name):
-    raise ValueError("non-finite number %s" % name)
+    raise _NonFinite("non-finite number %s" % name)
 
 
 # every artifact is written without NaN or Infinity, so reading one back refuses them
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+# to say where the first one is, a refused file is decoded again with _MARK in their place
+# and each object as the tuple of its pairs, which keeps a key given twice
+_MARK = object()
+_LOCATOR = json.JSONDecoder(parse_constant=lambda name: _MARK, object_pairs_hook=tuple)
+
+
+def _path_to_mark(doc, path=""):
+    """The /-joined key path of the first _MARK in a _LOCATOR document, in file order."""
+    if doc is _MARK:
+        return path or "/"
+    items = doc if type(doc) is tuple else enumerate(doc) if type(doc) is list else ()
+    return next(filter(None, (_path_to_mark(v, "%s/%s" % (path, k)) for k, v in items)), None)
 
 
 def load_file(path):
     with open(path, "rb") as fh:
-        return _DECODER.decode(fh.read().decode("utf-8"))
+        text = fh.read().decode("utf-8")
+    try:
+        return _DECODER.decode(text)
+    except _NonFinite as exc:
+        raise ValueError("%s at %s" % (exc, _path_to_mark(_LOCATOR.decode(text)))) from None
+
+
+def _types(annotation):
+    """The member types of an annotation: the args of a union, else the annotation itself."""
+    return typing.get_args(annotation) or (annotation,)
+
+
+@functools.cache
+def _stored(annotation):
+    """The JSON types of annotation's members: a dataclass is an object, a date an ISO string."""
+    return tuple(dict if dataclasses.is_dataclass(t) else str if t is date else t
+                 for t in _types(annotation))
 
 
 def _matches(value, annotation):
@@ -119,9 +151,7 @@ def _matches(value, annotation):
         # one C-level type pass spares a well-formed container the per-item rule
         return isinstance(value, origin) and (set(map(type, items)) <= exact
                                               or all(_matches(v, item) for v in items))
-    if dataclasses.is_dataclass(annotation):
-        return isinstance(value, dict)
-    allowed = (str,) if annotation is date else typing.get_args(annotation) or (annotation,)
+    allowed = _stored(annotation)
     if isinstance(value, bool):
         return bool in allowed
     if isinstance(value, int) and float in allowed:
@@ -135,17 +165,36 @@ def _container(annotation):
     origin = typing.get_origin(annotation)
     if origin is list or origin is dict:
         item = typing.get_args(annotation)[-1]
-        return origin, item, frozenset(() if _container(item) else typing.get_args(item) or (item,))
+        return origin, item, frozenset(() if _container(item) else _stored(item))
+
+
+@functools.cache
+def _built(annotation):
+    """Whether a value of annotation holds a date or a dataclass, stored as another type."""
+    container = _container(annotation)
+    return _built(container[1]) if container else _stored(annotation) != _types(annotation)
 
 
 def _type_name(annotation):
     container = _container(annotation)
     if container:
         return ("list of " if container[0] is list else "object of ") + _type_name(container[1])
-    if dataclasses.is_dataclass(annotation):
-        return "object"
-    allowed = typing.get_args(annotation) or (annotation,)
-    return " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    return " or ".join("null" if t is type(None) else "object" if t is dict else t.__name__
+                       for t in _stored(annotation))
+
+
+def _dates_from_json(values, name):
+    """Each ISO string of values as its date, in order; None stays None. A string that is
+    not an ISO date is a ValueError naming name(i), i the index of its first use."""
+    parsed = dict.fromkeys(values)  # each distinct string once, in order of first use
+    for s in parsed:
+        if s is not None:
+            try:
+                parsed[s] = date.fromisoformat(s)
+            except ValueError as exc:
+                raise ValueError("%s must be an ISO date, got %s (%s)" % (
+                    name(values.index(s)), reprlib.repr(s), exc)) from None
+    return list(map(parsed.__getitem__, values))
 
 
 def field(doc, key, annotation, where):
@@ -160,12 +209,22 @@ def field(doc, key, annotation, where):
     return value
 
 
-def check_rows(rows, columns, where):
-    """Check that each row is a list with one value per (name, annotation) column.
+def rows_to_doc(records, columns):
+    """Each record as a list of its (name, annotation) columns' values, dates as ISO strings."""
+    rows = list(map(list, map(operator.attrgetter(*[name for name, _ in columns]), records)))
+    for j, (_, annotation) in enumerate(columns):
+        if date in _types(annotation):
+            column = list(map(operator.itemgetter(j), rows))
+            iso = {d: None if d is None else d.isoformat() for d in set(column)}  # each once
+            for row, value in zip(rows, map(iso.__getitem__, column)):
+                row[j] = value
+    return rows
 
-    Values follow the field rule; a failure is a ValueError naming where,
-    the 1-based row and the column.
-    """
+
+def rows_from_doc(rows, columns, where):
+    """A tuple per row of its (name, annotation) columns' values, dates parsed; each row
+    must be a list of one value per column, each following the field rule, and a failure
+    is a ValueError naming where, the 1-based row and the column."""
     width = len(columns)
     # C-level passes over rows and columns spare a well-formed file the per-value rule
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
@@ -173,63 +232,62 @@ def check_rows(rows, columns, where):
             if type(row) is not list or len(row) != width:
                 raise ValueError("%s row %d: expected a list of %d values, got %s"
                                  % (where, number, width, reprlib.repr(row)))
+    values = [map(operator.itemgetter(j), rows) for j in range(width)]
     for j, (name, annotation) in enumerate(columns):
-        exact = set(typing.get_args(annotation) or (annotation,))
-        if set(map(type, map(operator.itemgetter(j), rows))) <= exact:
-            continue
-        for number, row in enumerate(rows, 1):
-            if not _matches(row[j], annotation):
-                raise ValueError("%s row %d: %r must be %s, got %s %s" % (
-                    where, number, name, _type_name(annotation),
-                    type(row[j]).__name__, reprlib.repr(row[j])))
+        if not set(map(type, map(operator.itemgetter(j), rows))) <= set(_stored(annotation)):
+            for number, row in enumerate(rows, 1):
+                if not _matches(row[j], annotation):
+                    raise ValueError("%s row %d: %r must be %s, got %s %s" % (
+                        where, number, name, _type_name(annotation),
+                        type(row[j]).__name__, reprlib.repr(row[j])))
+        if date in _types(annotation):
+            values[j] = _dates_from_json(list(values[j]),
+                                         lambda i: "%s row %d: %r" % (where, i + 1, name))
+    return zip(*values)
 
 
 @functools.cache
 def _fields(cls):
-    """JSON key -> (attribute, annotation, the dataclass it holds or None) of each init
-    field of cls, in field order; the key is metadata["json"] or the name."""
-    plan = {}
-    for f in dataclasses.fields(cls):
-        item = _container(f.type)[1] if _container(f.type) else f.type
-        if f.init:
-            plan[f.metadata.get("json", f.name)] = (
-                f.name, f.type, item if dataclasses.is_dataclass(item) else None)
-    return plan
+    """JSON key -> (attribute, annotation, holds a date or dataclass, has no default) of each
+    init field of cls, in field order; the key is metadata["json"] or the name."""
+    return {f.metadata.get("json", f.name): (
+                f.name, f.type, _built(f.type),
+                f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls) if f.init}
 
 
-def _build(value, annotation, inner, where, required):
-    """A checked JSON value built into its date, its dataclass inner, or the list or
-    object of inner that annotation declares."""
-    if annotation is date:
-        try:
-            return date.fromisoformat(value)
-        except ValueError:
-            raise ValueError("%s must be an ISO date, got %r" % (where, value)) from None
-    if inner is annotation:
-        return dataclass_from_doc(inner, value, where, required)
-    pairs = value.items() if isinstance(value, dict) else enumerate(value)
-    built = {k: dataclass_from_doc(inner, v, "%s[%r]" % (where, k), required) for k, v in pairs}
-    return built if isinstance(value, dict) else list(built.values())
+def _from_json(value, annotation, where, required):
+    """A checked JSON value of annotation with each date and dataclass in it built."""
+    container = _container(annotation)
+    if container:
+        pairs = value.items() if isinstance(value, dict) else enumerate(value)
+        built = {k: _from_json(v, container[1], "%s[%r]" % (where, k), required)
+                 for k, v in pairs}
+        return built if isinstance(value, dict) else list(built.values())
+    if value is None or isinstance(value, str):
+        return _dates_from_json([value], lambda i: where)[0]
+    cls = next(t for t in _types(annotation) if dataclasses.is_dataclass(t))
+    return dataclass_from_doc(cls, value, where, required)
 
 
 def dataclass_from_doc(cls, doc, where, required=False):
     """cls from a JSON object whose keys are its init fields' metadata["json"] or names.
 
-    Absent keys take the defaults unless required; an unknown, missing or
-    mistyped key, or a ValueError from cls, is a ValueError naming where and,
-    inside nested dataclasses, the key path. Ints given for float fields
-    become floats.
+    Absent keys take the defaults unless required or the field has none; an
+    unknown, missing or mistyped key, or a ValueError from cls, is a
+    ValueError naming where and, inside nested dataclasses, the key path.
+    Ints given for float fields become floats.
     """
     plan = _fields(cls)
     unknown = [key for key in doc if key not in plan]
     if unknown:
         raise ValueError("%s: unknown key %r" % (where, unknown[0]))
     values = {}
-    for key, (name, annotation, inner) in plan.items():
-        if required or key in doc:
+    for key, (name, annotation, built, needed) in plan.items():
+        if required or needed or key in doc:
             value = field(doc, key, annotation, where)
-            if inner is not None or annotation is date:
-                value = _build(value, annotation, inner, "%s %s" % (where, key), required)
+            if built:
+                value = _from_json(value, annotation, "%s %s" % (where, key), required)
             values[name] = float(value) if annotation is float else value
     try:
         return cls(**values)
@@ -240,15 +298,16 @@ def dataclass_from_doc(cls, doc, where, required=False):
 def _to_json(value, annotation):
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if dataclasses.is_dataclass(annotation):
-        return dataclass_to_doc(value)
-    if annotation is date:
+    if isinstance(value, date):
         return value.isoformat()
-    if not _container(annotation):
+    if dataclasses.is_dataclass(value):
+        return dataclass_to_doc(value)
+    container = _container(annotation)
+    if not container:
         return value
-    origin, item, _ = _container(annotation)
-    # containers of dataclasses or of arrays take a per-item step, the rest a copy
-    if not (dataclasses.is_dataclass(item) or typing.get_origin(item) is list):
+    origin, item, _ = container
+    # containers of dates, dataclasses or arrays take a per-item step, the rest a copy
+    if not (_built(item) or typing.get_origin(item) is list):
         return origin(value)
     pairs = value.items() if origin is dict else enumerate(value)
     out = {k: _to_json(v, item) for k, v in pairs}
@@ -258,4 +317,4 @@ def _to_json(value, annotation):
 def dataclass_to_doc(obj):
     """obj's init fields as a JSON object in field order, as dataclass_from_doc reads it."""
     return {key: _to_json(getattr(obj, name), annotation)
-            for key, (name, annotation, _) in _fields(type(obj)).items()}
+            for key, (name, annotation, _, _) in _fields(type(obj)).items()}

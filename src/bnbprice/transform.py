@@ -151,7 +151,7 @@ class FittedPipeline:
 def resolve_snapshot_date(dataset, configured):
     """Configured date, else max review date, else max host_since, else epoch."""
     if configured:
-        return configured if isinstance(configured, date) else date.fromisoformat(configured)
+        return configured
     review_dates = [rv.date for rvs in dataset.reviews_by_listing.values() for rv in rvs]
     if review_dates:
         return max(review_dates)

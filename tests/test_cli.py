@@ -323,6 +323,35 @@ def test_out_of_range_model_param_exits_2_as_the_config_loads(tmp_path, caplog, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,keys,expected", [
+    pytest.param("ingest", {"cities": {"a": {"listings": 0, "reviews": "r.csv"}}},
+                 "config cities['a']: key 'listings' must be str, got int 0", id="listings 0"),
+    pytest.param("ingest", {"cities": {"a": {"listings": "l.csv"}}},
+                 "config cities['a']: missing key 'reviews'", id="city without reviews"),
+    pytest.param("train", {"room_type_levels": [1, 2]},
+                 "config: key 'room_type_levels' must be list of str", id="room types 1 2"),
+    pytest.param("train", {"snapshot_date": "2020-13-01"},
+                 "config snapshot_date must be an ISO date, got '2020-13-01'",
+                 id="snapshot month 13"),
+    pytest.param("train", {"kmeans_tol": math.nan}, "non-finite number NaN at /kmeans_tol",
+                 id="kmeans_tol NaN"),
+    pytest.param("train", {"models": [{"kind": "ridge", "lambda": math.inf}]},
+                 "non-finite number Infinity at /models/0/lambda", id="ridge lambda Infinity"),
+    pytest.param("train", {"models": [{"kind": "ridge"}, {"kind": "gbdt"}],
+                           "grid": {"model": True, "params": {"lambda": [0.1, 10.0]}}},
+                 "config grid: key 'model' must be int, got bool True", id="grid model true"),
+])
+def test_mistyped_nested_config_value_exits_2_as_the_config_loads(tmp_path, caplog, command,
+                                                                   keys, expected):
+    # the dataset does not exist: the run must stop before it would read anything
+    cfg = write_config(tmp_path / "c.json", dataset=str(tmp_path / "absent.json"),
+                       out=str(tmp_path / "o"), **keys)
+    assert main([command, "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and expected in errors[0], errors
+    assert not (tmp_path / "o").exists()
+
+
 def test_scaler_map_typo_exits_2_with_one_line(trained, tmp_path, caplog):
     tmp, out, config = trained
     cfg = write_config(tmp_path / "c.json", dataset=str(out / "dataset.json"),
@@ -402,6 +431,8 @@ def rename_first_reviews_key(doc):
                  id="review date feb 30"),
     pytest.param(set_first_review_date(""), "reviews row 1: 'date' must be an ISO date, got ''",
                  id="review date empty"),
+    pytest.param(set_first_listing(9, ""),
+                 "listings row 1: 'host_since' must be an ISO date, got ''", id="host_since empty"),
 ])
 def test_malformed_dataset_exits_2_naming_the_file(trained, tmp_path, caplog, spoil, expected):
     tmp, out, config = trained

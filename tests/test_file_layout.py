@@ -1,18 +1,19 @@
-"""The key layout of pipeline.json and of each kind's model file.
+"""The key layout of pipeline.json, of each kind's model file and of dataset.json.
 
 Each file is written from its dataclasses, and field order is file
 order, so a reordered or renamed field would change the bytes of every
 file. The golden lists below were written by the hand-written writers
 that the dataclasses replaced. Every key path, at every depth, must stay
-where it was.
+where it was, and so must every column of a dataset.json row.
 """
 
+import datetime
 import json
 
 import numpy as np
 import pytest
 
-from bnbprice import serialize, transform
+from bnbprice import ingest, serialize, transform
 from bnbprice.models import fit_model, model_to_doc
 from test_transform import fitted_small
 
@@ -90,3 +91,56 @@ def test_model_keys_keep_their_order_at_every_depth(kind, params, golden):
     X = rng.randn(30, 3)
     y = X @ np.array([1.0, -0.5, 0.25]) + 0.1 * rng.randn(30)
     assert key_paths(on_disk(model_to_doc(fit_model(kind, params, X, y), "0" * 64))) == golden
+
+
+def small_dataset():
+    """Two listings, one with every optional field set to a distinct value and one with
+    none, and two reviews of the first."""
+    full = ingest.ListingRecord(
+        id=7, city="Austin", latitude=30.25, longitude=-97.75, price_usd=120.5, accommodates=3,
+        availability_365=200, reviews_per_month=1.25, host_is_superhost=True,
+        host_since=datetime.date(2015, 6, 1), neighbourhood="Zilker", room_type="Private room",
+        bedrooms=2.0, description="two\nlines")
+    bare = ingest.ListingRecord(
+        id=9, city="Austin", latitude=30.5, longitude=-97.5, price_usd=80.0, accommodates=1,
+        availability_365=None, reviews_per_month=None, host_is_superhost=None, host_since=None,
+        neighbourhood=None, room_type=None, bedrooms=None, description="")
+    reviews = [ingest.ReviewRecord(listing_id=7, review_id=31, date=datetime.date(2021, 3, 14),
+                                   comments="great"),
+               ingest.ReviewRecord(listing_id=7, review_id=32, date=datetime.date(2021, 4, 1),
+                                   comments="")]
+    return ingest.join_dataset([full, bare], reviews, {"bad price": 2})
+
+
+# written by the hand-listed dataset row writer that the record fields replaced
+DATASET_KEYS = ["schema_version", "listings", "reviews", "drop_log"]
+# id, city, latitude, longitude, price_usd, accommodates, availability_365,
+# reviews_per_month, host_is_superhost, host_since, neighbourhood, room_type,
+# bedrooms, description
+LISTING_ROW = [7, "Austin", 30.25, -97.75, 120.5, 3, 200, 1.25, True, "2015-06-01", "Zilker",
+               "Private room", 2.0, "two\nlines"]
+# review_id, date, comments; the listing id is the key the rows are stored under
+REVIEW_ROW = [31, "2021-03-14", "great"]
+DATASET_BYTES = (
+    b'{"schema_version":1,"listings":[[7,"Austin",30.25,-97.75,120.5,3,200,1.25,true,'
+    b'"2015-06-01","Zilker","Private room",2.0,"two\\nlines"],[9,"Austin",30.5,-97.5,80.0,1,'
+    b'null,null,null,null,null,null,null,""]],"reviews":{"7":[[31,"2021-03-14","great"],'
+    b'[32,"2021-04-01",""]],"9":[]},"drop_log":{"bad price":2}}\n')
+
+
+def test_dataset_rows_keep_their_columns_in_order():
+    doc = on_disk(ingest.dataset_to_doc(small_dataset()))
+    assert list(doc) == DATASET_KEYS
+    assert doc["listings"][0] == LISTING_ROW
+    assert doc["reviews"]["7"][0] == REVIEW_ROW
+
+
+def test_dataset_bytes_round_trip(tmp_path):
+    dataset = small_dataset()
+    path = tmp_path / "dataset.json"
+    assert serialize.dump_file(ingest.dataset_to_doc(dataset), path) == DATASET_BYTES
+    back = ingest.dataset_from_doc(serialize.load_file(path))
+    assert back == dataset
+    assert [r.host_since for r in back.listings] == [datetime.date(2015, 6, 1), None]
+    again = tmp_path / "again.json"
+    assert serialize.dump_file(ingest.dataset_to_doc(back), again) == DATASET_BYTES

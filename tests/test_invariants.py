@@ -13,3 +13,17 @@ def test_src_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.relative_to(root), node.lineno))
     assert found == []
+
+
+def test_only_serialize_imports_json():
+    # every JSON value is read and written by serialize, checked against annotations
+    root = Path(bnbprice.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "json" or name.startswith("json.") for name in names if name):
+                found.append("%s:%d" % (path.relative_to(root), node.lineno))
+    assert [f for f in found if not f.startswith("serialize.py:")] == []
+    assert found, "serialize.py no longer imports json"

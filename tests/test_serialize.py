@@ -257,9 +257,16 @@ def test_nested_errors_name_their_place(spoil, expected):
         serialize.dataclass_from_doc(Root, spoiled_root(spoil), "root", required=True)
 
 
-@pytest.mark.parametrize("text", ['{"a": NaN}', '[1.0, Infinity]', '{"b": [-Infinity]}'])
-def test_load_file_refuses_non_finite_numbers(tmp_path, text):
+@pytest.mark.parametrize("text,place", [pytest.param(text, place, id=text) for text, place in [
+    ('{"a": NaN}', "NaN at /a"),
+    ('[1.0, Infinity]', "Infinity at /1"),
+    ('{"b": [-Infinity]}', "-Infinity at /b/0"),
+    ('{"x": "NaN", "y": [1, {"z": [2.0, NaN, Infinity]}]}', "NaN at /y/1/z/1"),
+    ('{"a": NaN, "a": 1.0}', "NaN at /a"),
+]])
+def test_load_file_refuses_non_finite_numbers(tmp_path, text, place):
+    # the message names the key path of the first one in file order
     path = tmp_path / "doc.json"
     path.write_text(text)
-    with pytest.raises(ValueError, match="non-finite number"):
+    with pytest.raises(ValueError, match="^non-finite number %s$" % re.escape(place)):
         serialize.load_file(path)

@@ -126,7 +126,7 @@ def test_log_price_round_trip():
 def test_resolve_snapshot_date_priority():
     listings = [make_listing(1, host_since=datetime.date(2018, 5, 1))]
     with_reviews = make_dataset(listings, [make_review(1, 5, "x", datetime.date(2021, 9, 9))])
-    assert transform.resolve_snapshot_date(with_reviews, "2020-01-01") == datetime.date(2020, 1, 1)
+    assert transform.resolve_snapshot_date(with_reviews, datetime.date(2020, 1, 1)) == datetime.date(2020, 1, 1)
     assert transform.resolve_snapshot_date(with_reviews, None) == datetime.date(2021, 9, 9)
     no_reviews = make_dataset(listings)
     assert transform.resolve_snapshot_date(no_reviews, None) == datetime.date(2018, 5, 1)
@@ -274,7 +274,7 @@ def branch_dataset():
 def test_blocks_match_reference_bit_for_bit(metric):
     dataset = branch_dataset()
     cfg = small_config(k_clusters=3, geo_metric=metric, top_n_neighbourhoods=2,
-                       snapshot_date="2021-06-30")
+                       snapshot_date=datetime.date(2021, 6, 30))
     fitted = transform.fit_pipeline(dataset, range(12), cfg, LEXICON, frozenset())
     assert_matches_reference(dataset, range(12), fitted)
     n = len(dataset.listings)
