@@ -60,7 +60,7 @@ class PipelineConfig:
         if self.geo_metric not in GEO_METRICS:
             raise ValueError("geo_metric must be one of %s" % (GEO_METRICS,))
         for name in ("k_clusters", "top_n_neighbourhoods", "min_df", "max_terms",
-                     "importance_top_n"):
+                     "importance_top_n", "kmeans_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
         if len(self.split_ratios) != 3 or min(self.split_ratios) < 0:

@@ -1,8 +1,11 @@
 """CSV ingestion of InsideAirbnb-style listings and reviews files.
 
-Rows failing a required-field rule are dropped and tallied by reason,
-never coerced; optional fields that fail to parse come back absent and
-get imputed downstream. Quoted multi-line fields are supported because
+`LISTING_CSV` and `REVIEW_CSV` are the one declaration of the CSV schema:
+per record field, in field order, the columns it reads, its converter
+with its domain rule, and whether the header must hold it. Rows failing a
+required field's rule are dropped and tallied by reason, never coerced;
+optional fields that fail to parse or break their rule come back absent
+and get imputed downstream. Quoted multi-line fields are supported because
 real exports embed newlines inside descriptions and review comments.
 """
 
@@ -20,9 +23,6 @@ from .serialize import field, rows_from_doc, rows_to_doc
 class IngestError(ValueError):
     """Fatal ingest problem: bad header, duplicate ids, unreadable input."""
 
-
-LISTING_REQUIRED = ("id", "price", "latitude", "longitude", "accommodates", "description")
-REVIEW_REQUIRED = ("listing_id", "id", "date", "comments")
 
 # leading "$" and "," separators only; anything else in the field is an error
 _PRICE_RE = re.compile(r"^-?\d+(\.\d+)?$")
@@ -76,9 +76,7 @@ def parse_price(text):
     Empty input is absent (None). Malformed residue raises ValueError so
     the caller can log the drop; the function never silently returns 0.
     """
-    if text is None:
-        return None
-    s = text.strip()
+    s = (text or "").strip()
     if not s:
         return None
     if s.startswith("$"):
@@ -89,152 +87,153 @@ def parse_price(text):
     return float(s)
 
 
-def _opt_text(raw):
-    if raw is None:
-        return None
-    s = raw.strip()
-    return s if s else None
+class _Refused(Exception):
+    """A required cell broke its field's rule; args[0] is the row's drop reason."""
 
 
-def _opt_int_in_range(raw, lo, hi):
-    s = _opt_text(raw)
-    if s is None:
+def _parsed(parse, lo, hi, reason=None):
+    """Converter of a cell to parse(cell stripped) in [lo, hi], else None or a refusal."""
+    def convert(cell):
+        try:
+            value = parse(cell.strip())
+            if lo <= value <= hi:
+                return value
+        except ValueError:
+            pass
+        if reason:
+            raise _Refused(reason)
         return None
+    return convert
+
+
+def _latitude(lat, lon):
+    """The latitude of a pair on the globe, so the longitude field reads a checked cell."""
     try:
-        v = int(s)
+        lat, lon = float(lat.strip()), float(lon.strip())
     except ValueError:
-        return None
-    return v if lo <= v <= hi else None
+        raise _Refused("bad coordinate") from None
+    if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+        return lat
+    raise _Refused("coordinate out of range")
 
 
-def _opt_nonneg_float(raw):
-    s = _opt_text(raw)
-    if s is None:
-        return None
-    try:
-        v = float(s)
-    except ValueError:
-        return None
-    return v if math.isfinite(v) and v >= 0.0 else None
+def _price(required):
+    """Converter of a price cell to a finite positive price, or to None if empty and not
+    required."""
+    def convert(cell):
+        try:
+            price = parse_price(cell)
+        except ValueError:
+            raise _Refused("bad price") from None
+        if price is None and required:
+            raise _Refused("missing price")
+        if price is None or 0.0 < price < math.inf:
+            return price
+        raise _Refused("bad price" if price > 0.0 else "nonpositive price")  # > 0: an infinite price
+    return convert
 
 
-def _opt_bool(raw):
-    # InsideAirbnb encodes booleans as "t"/"f"; anything else is absent
-    s = _opt_text(raw)
-    if s == "t":
-        return True
-    if s == "f":
-        return False
-    return None
+def _text(cell, fallback=""):
+    """The cell stripped, else the fallback cell stripped; None if both are blank."""
+    return cell.strip() or fallback.strip() or None
 
 
-def _opt_date(raw):
-    s = _opt_text(raw)
-    if s is None:
-        return None
-    try:
-        return date.fromisoformat(s)
-    except ValueError:
-        return None
+_BOOLS = {"t": True, "f": False}  # InsideAirbnb's booleans; anything else is absent
+
+
+def _bool(cell):
+    return _BOOLS.get(cell.strip())
+
+
+# A record field as its CSV table declares it: the columns it reads, the converter of their
+# cells, and whether the header must hold them. Only a required field's converter refuses a
+# row, with its drop reason; a field without columns is given by the caller.
+CsvField = collections.namedtuple("CsvField", "field columns convert required")
+_ID = (-math.inf, math.inf)  # an id is never a feature, so it may pass float64's 2**53
+
+LISTING_CSV = (
+    CsvField("id", ("id",), _parsed(int, *_ID, "bad id"), True),
+    CsvField("city", (), None, False),
+    CsvField("latitude", ("latitude", "longitude"), _latitude, True),
+    CsvField("longitude", ("longitude",), _parsed(float, -180.0, 180.0, "bad coordinate"), True),
+    CsvField("price_usd", ("price",), _price(required=True), True),
+    CsvField("accommodates", ("accommodates",), _parsed(int, 1, 2**53, "bad accommodates"), True),
+    CsvField("availability_365", ("availability_365",), _parsed(int, 0, 365), False),
+    CsvField("reviews_per_month", ("reviews_per_month",), _parsed(float, 0.0, 1e6), False),
+    CsvField("host_is_superhost", ("host_is_superhost",), _bool, False),
+    CsvField("host_since", ("host_since",), _parsed(date.fromisoformat, date.min, date.max), False),
+    CsvField("neighbourhood", ("neighbourhood_cleansed", "neighbourhood"), _text, False),
+    CsvField("room_type", ("room_type",), _text, False),
+    CsvField("bedrooms", ("bedrooms",), _parsed(float, 0.0, 1e6), False),
+    CsvField("description", ("description",), str, True),
+)
+# predict keeps a listing with an empty price, to score it
+_UNPRICED_LISTING_CSV = tuple(f._replace(convert=_price(required=False))
+                              if f.field == "price_usd" else f for f in LISTING_CSV)
+REVIEW_CSV = (
+    CsvField("listing_id", ("listing_id",), _parsed(int, *_ID, "bad review id"), True),
+    CsvField("review_id", ("id",), _parsed(int, *_ID, "bad review id"), True),
+    CsvField("date", ("date",), _parsed(date.fromisoformat, date.min, date.max, "bad date"), True),
+    CsvField("comments", ("comments",), str, True),
+)
+
+
+def _reader(field, at, given):
+    """The function of a row to field's value, at being its columns' indices in the header."""
+    convert = field.convert
+    if not at:  # the caller's value, or None
+        value = given.get(field.field)
+        return lambda row: value
+    if len(at) == 1:
+        i, = at
+        return lambda row: convert(row[i])
+    i, j = at
+    return lambda row: convert(row[i], row[j])
+
+
+def _read_table(csv_stream, what, record, table, key, **given):
+    """Records built from the CSV's rows through table, plus a Drop per refused row, which
+    carries the value of the field named key if that field was read before the refusal.
+
+    A repeated header name keeps its last column. Blank lines are skipped and not numbered,
+    a short row's missing cells read as empty, and a long row's extra cells are never read.
+    """
+    rows = csv.reader(csv_stream)
+    header = next(rows, None)
+    if header is None:
+        raise IngestError("empty %s file" % what)
+    at = {name: i for i, name in enumerate(header)}
+    for name in (name for f in table if f.required for name in f.columns):
+        if name not in at:
+            raise IngestError("%s header missing column %r" % (what, name))
+    readers = [_reader(f, [at[name] for name in f.columns if name in at], given) for f in table]
+    through = [f.field for f in table].index(key) + 1
+    records, drops = [], []
+    for number, row in enumerate(filter(None, rows), 1):
+        if len(row) < len(header):
+            row += [""] * (len(header) - len(row))
+        try:
+            records.append(record(*[read(row) for read in readers]))
+        except _Refused as exc:
+            try:  # the key field's value, if it and every field before it read
+                value = [read(row) for read in readers[:through]][-1]
+            except _Refused:
+                value = None
+            drops.append(Drop(number, value, exc.args[0]))
+    return records, drops
 
 
 def parse_listings(csv_stream, city_label, require_price=True):
-    """Parse one city's listings CSV into records plus a list of Drops.
-
-    The header must contain id, price, latitude, longitude, accommodates
-    and description; a missing column is fatal. Each retained record gets
-    city set to city_label. Without require_price, a listing with an empty
-    price is kept with price_usd None.
-    """
-    reader = csv.DictReader(csv_stream)
-    if reader.fieldnames is None:
-        raise IngestError("empty listings file for %s" % city_label)
-    for col in LISTING_REQUIRED:
-        if col not in reader.fieldnames:
-            raise IngestError("listings header missing column %r" % col)
-    records = []
-    drops = []
-    for number, row in enumerate(reader, 1):
-        try:
-            listing_id = int((row.get("id") or "").strip())
-        except ValueError:
-            drops.append(Drop(number, None, "bad id"))
-            continue
-        try:
-            lat = float((row.get("latitude") or "").strip())
-            lon = float((row.get("longitude") or "").strip())
-        except ValueError:
-            drops.append(Drop(number, listing_id, "bad coordinate"))
-            continue
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            drops.append(Drop(number, listing_id, "coordinate out of range"))
-            continue
-        try:
-            price = parse_price(row.get("price"))
-        except ValueError:
-            drops.append(Drop(number, listing_id, "bad price"))
-            continue
-        if price is None and require_price:
-            drops.append(Drop(number, listing_id, "missing price"))
-            continue
-        if price is not None and price <= 0.0:
-            drops.append(Drop(number, listing_id, "nonpositive price"))
-            continue
-        try:
-            accommodates = int((row.get("accommodates") or "").strip())
-        except ValueError:
-            drops.append(Drop(number, listing_id, "bad accommodates"))
-            continue
-        if accommodates < 1:
-            drops.append(Drop(number, listing_id, "bad accommodates"))
-            continue
-        records.append(ListingRecord(
-            id=listing_id,
-            city=city_label,
-            latitude=lat,
-            longitude=lon,
-            price_usd=price,
-            accommodates=accommodates,
-            availability_365=_opt_int_in_range(row.get("availability_365"), 0, 365),
-            reviews_per_month=_opt_nonneg_float(row.get("reviews_per_month")),
-            host_is_superhost=_opt_bool(row.get("host_is_superhost")),
-            host_since=_opt_date(row.get("host_since")),
-            neighbourhood=_opt_text(row.get("neighbourhood_cleansed")) or _opt_text(row.get("neighbourhood")),
-            room_type=_opt_text(row.get("room_type")),
-            bedrooms=_opt_nonneg_float(row.get("bedrooms")),
-            description=row.get("description") or "",
-        ))
-    return records, drops
+    """One city's listings CSV as records, each with city city_label, plus a list of Drops.
+    Without require_price, a listing with an empty price is kept with price_usd None."""
+    table = LISTING_CSV if require_price else _UNPRICED_LISTING_CSV
+    return _read_table(csv_stream, "listings", ListingRecord, table, "id", city=city_label)
 
 
 def parse_reviews(csv_stream):
-    """Parse a reviews CSV; rows without parseable ids or date become Drops.
-
-    Empty comments are retained, they count toward review totals and
-    score 0 later.
-    """
-    reader = csv.DictReader(csv_stream)
-    if reader.fieldnames is None:
-        raise IngestError("empty reviews file")
-    for col in REVIEW_REQUIRED:
-        if col not in reader.fieldnames:
-            raise IngestError("reviews header missing column %r" % col)
-    records = []
-    drops = []
-    for number, row in enumerate(reader, 1):
-        try:
-            listing_id = int((row.get("listing_id") or "").strip())
-            review_id = int((row.get("id") or "").strip())
-        except ValueError:
-            drops.append(Drop(number, None, "bad review id"))
-            continue
-        when = _opt_date(row.get("date"))
-        if when is None:
-            drops.append(Drop(number, review_id, "bad date"))
-            continue
-        records.append(ReviewRecord(listing_id=listing_id, review_id=review_id,
-                                    date=when, comments=row.get("comments") or ""))
-    return records, drops
+    """A reviews CSV as records plus a list of Drops. Empty comments are retained: they
+    count toward review totals and score 0 later."""
+    return _read_table(csv_stream, "reviews", ReviewRecord, REVIEW_CSV, "review_id")
 
 
 def _check_unique_ids(listings):

@@ -1,17 +1,20 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import logging
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnbprice import cli, ingest
 from bnbprice.cli import main
 from bnbprice.serialize import load_file
+import reference_ingest
 
 
 def write_config(path, **kw):
@@ -340,6 +343,8 @@ def test_out_of_range_model_param_exits_2_as_the_config_loads(tmp_path, caplog, 
     pytest.param("train", {"models": [{"kind": "ridge"}, {"kind": "gbdt"}],
                            "grid": {"model": True, "params": {"lambda": [0.1, 10.0]}}},
                  "config grid: key 'model' must be int, got bool True", id="grid model true"),
+    pytest.param("train", {"kmeans_max_iter": 0}, "kmeans_max_iter must be >= 1",
+                 id="kmeans_max_iter 0"),
 ])
 def test_mistyped_nested_config_value_exits_2_as_the_config_loads(tmp_path, caplog, command,
                                                                    keys, expected):
@@ -525,6 +530,44 @@ def write_listings(path, source, edit):
             if row is not None:
                 writer.writerow(row)
     return str(path)
+
+
+@pytest.mark.parametrize("column,value,dropped", [
+    pytest.param("accommodates", "9" * 400, {"bad accommodates"},
+                 id="accommodates of 400 digits"),
+    pytest.param("price", "$1" + "0" * 400, {"bad price"}, id="price of 401 digits"),
+    pytest.param("bedrooms", "1e308", set(), id="bedrooms 1e308"),
+    pytest.param("reviews_per_month", "1e308", set(), id="reviews_per_month 1e308"),
+])
+def test_a_cell_against_its_ingest_domain_rule_never_reaches_train(tmp_path, column, value,
+                                                                   dropped):
+    # the cell drops its row, or is read as absent; train then fits the rest, with no
+    # warning, and writes finite metrics
+    assert main(["synth", "--n", "120", "--cities", "1", "--seed", "3",
+                 "--out", str(tmp_path / "data")]) == 0
+    listings = tmp_path / "data" / "listings.csv"
+    write_listings(tmp_path / "l.csv", listings,
+                   lambda i, row: {**row, column: value} if i == 0 else row)
+    (tmp_path / "l.csv").replace(listings)
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.json", out=str(out), k_clusters=2, min_df=1, cluster_svg=False,
+        cities={"a": {"listings": str(listings),
+                      "reviews": str(tmp_path / "data" / "reviews.csv")}},
+        models=[{"kind": "ridge"}])
+    assert main(["ingest", "--config", config]) == 0
+    assert load_file(out / "drop_log.json").keys() - {"orphan review"} == dropped
+    first = load_file(out / "dataset.json")["listings"][0]
+    if dropped:
+        assert first[0] == 2
+    else:
+        names = [f.name for f in dataclasses.fields(ingest.ListingRecord)]
+        assert first[names.index(column)] is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", config]) == 0
+    for model in load_file(out / "report.json")["models"]:
+        assert all(math.isfinite(model[split]["mse"]) for split in ("train", "val", "test"))
 
 
 def predict_args(trained, dest, listings):
@@ -722,18 +765,84 @@ REVIEWS_HEADER = b"listing_id,id,date,comments\n"
 ROW_BYTES = st.lists(st.sampled_from([b",", b'"', b"\n", b"\r", b"1", b"-7.5", b"$1,200",
                                       b"2020-02-29", b"t", b"\x00", b"\xff", b"\xc3\xa9",
                                       b"nan", b"1e999", b" "]), max_size=40).map(b"".join)
+CELL = st.sampled_from([b"", b"1", b"2", b" 3 ", b"-7.5", b"95", b"word", b"$1,200", b"$0", b"$x",
+                        b"2020-02-29", b"t", b"f", b"1e308", b"9" * 400, b"1" + b"0" * 400,
+                        b'"two\nlines"', b"\x1c4"])
+
+
+def csv_body(rows):
+    """Lines of random cells, blank, short and long ones among them, mixed with rows."""
+    line = st.one_of(st.lists(CELL, max_size=15).map(b",".join), st.sampled_from(rows))
+    return st.lists(line, max_size=6).map(lambda lines: b"".join(x + b"\n" for x in lines))
+
+
+# per parser: its headers (the empty file and the other kind's header among them) and rows
+LISTING_CASES = (
+    [b"", REVIEWS_HEADER, LISTINGS_HEADER,
+     # the required columns alone; neighbourhood after neighbourhood_cleansed
+     b"description,accommodates,longitude,latitude,price,id\n",
+     b"id,price,latitude,longitude,accommodates,description,neighbourhood_cleansed,neighbourhood\n",
+     # a repeated name reads its last column
+     LISTINGS_HEADER[:-1] + b",price,id\n"],
+    # a coordinate out of range and one that does not parse, an out-of-range latitude with a
+    # bad price, an id after a separator that str.strip removes, and a long row whose extra
+    # cell follows a blank neighbourhood_cleansed
+    [b"1,$10,95,word,2,d", b"1,$x,95,-118,2,d", b"\x1c5,$10,34,-118,2,d",
+     b"3,$10,34,-118,2,d,9,1,t,2015-01-01,,Entire,2,X"])
+PARSERS = {
+    "listings": (ingest.parse_listings, reference_ingest.parse_listings, ("city",), {},
+                 LISTING_CASES),
+    "unpriced": (ingest.parse_listings, reference_ingest.parse_listings, ("predict",),
+                 {"require_price": False}, LISTING_CASES),
+    # a bad id with a good listing_id, the reverse, and an id after a stripped separator
+    "reviews": (ingest.parse_reviews, reference_ingest.parse_reviews, (), {},
+                ([b"", LISTINGS_HEADER, REVIEWS_HEADER, b"id,listing_id,date,comments,id\n"],
+                 [b"4,x,2020-01-01,c", b"x,4,2020-01-01,c", b"4,\x1c5,2020-01-01,c"])),
+}
+
+
+@st.composite
+def csv_case(draw):
+    name = draw(st.sampled_from(sorted(PARSERS)))
+    headers, rows = PARSERS[name][4]
+    body = draw(st.one_of(st.binary(max_size=200), ROW_BYTES, csv_body(rows)))
+    return name, draw(st.sampled_from(headers)), body
+
+
+def parsed(path, parse, args, options):
+    """parse's records and drops, or the type of what it raised, on path opened as cli does."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return parse(fh, *args, **options)
+    except Exception as exc:
+        return type(exc)
 
 
 @settings(max_examples=150, deadline=None)
-@given(body=st.one_of(st.binary(max_size=200), ROW_BYTES),
-       header=st.sampled_from([b"", LISTINGS_HEADER, REVIEWS_HEADER]),
-       parse=st.sampled_from([(ingest.parse_listings, "city"), (ingest.parse_reviews,)]))
-def test_any_csv_bytes_end_in_records_and_drops_or_one_error(tmp_path_factory, body, header,
-                                                            parse):
+@given(case=csv_case())
+# blank lines; short rows; a long row; a repeated header name; the required columns alone;
+# a coordinate that does not parse beside one out of range; unpriced rows; a review's bad id
+# beside a good listing_id and the reverse; a separator that str.strip removes
+@example(case=("listings", LISTINGS_HEADER, b"\n1,$10,34,-118,2,d\n\n\n2,$x,34,-118,2,d\n"))
+@example(case=("listings", LISTINGS_HEADER, b"1,$10,34,-118,2\n2,$10,34\n"))
+@example(case=("listings", LISTINGS_HEADER, b"3,$10,34,-118,2,d,9,1,t,2015-01-01,,Entire,2,X\n"))
+@example(case=("listings", LISTINGS_HEADER[:-1] + b",price,id\n",
+               b"1,$10,34,-118,2,d,9,1,t,2015-01-01,M,Entire,2,$20,7\n1,$10,34,-118,2,d\n"))
+@example(case=("listings", b"description,accommodates,longitude,latitude,price,id\n",
+               b"d,2,-118,34,$10,1\n"))
+@example(case=("listings", LISTINGS_HEADER, b"1,$10,95,word,2,d\n2,$x,95,-118,2,d\n"))
+@example(case=("unpriced", LISTINGS_HEADER, b"1,,34,-118,2,d\n2,,34,-118,zero,d\n"))
+@example(case=("reviews", REVIEWS_HEADER, b"4,x,2020-01-01,c\nx,4,2020-01-01,c\n"))
+@example(case=("listings", LISTINGS_HEADER, b"\x1c5,$10,34,-118,2,d\n"))
+def test_any_csv_bytes_end_in_records_and_drops_or_one_error(tmp_path_factory, case):
+    name, header, body = case
+    parse, reference, args, options, _ = PARSERS[name]
     path = tmp_path_factory.mktemp("fuzz") / "input.csv"
     path.write_bytes(header + body)
+    # the declared tables read what the csv.DictReader parsers read, drop for drop
+    assert parsed(path, parse, args, options) == parsed(path, reference, args, options)
     try:
-        records, drops = cli._read_csv(path, *parse)
+        records, drops = cli._read_csv(path, parse, *args, **options)
     except (cli.CliError, ingest.IngestError) as exc:
         assert "\n" not in str(exc)
         return

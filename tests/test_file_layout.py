@@ -7,6 +7,7 @@ that the dataclasses replaced. Every key path, at every depth, must stay
 where it was, and so must every column of a dataset.json row.
 """
 
+import dataclasses
 import datetime
 import json
 
@@ -144,3 +145,33 @@ def test_dataset_bytes_round_trip(tmp_path):
     assert [r.host_since for r in back.listings] == [datetime.date(2015, 6, 1), None]
     again = tmp_path / "again.json"
     assert serialize.dump_file(ingest.dataset_to_doc(back), again) == DATASET_BYTES
+
+
+# The CSV columns each record field reads, in field order, and the columns a header must
+# hold, as the csv.DictReader parsers that the tables replaced read them: their row.get
+# calls on a full row (id, latitude, longitude, price, accommodates, availability_365, ...,
+# description; neighbourhood when neighbourhood_cleansed is blank), with the coordinate
+# pair read and range-checked together, and their LISTING_REQUIRED and REVIEW_REQUIRED
+# put in field order.
+LISTING_CSV_COLUMNS = [
+    ("id", ["id"]), ("city", []), ("latitude", ["latitude", "longitude"]),
+    ("longitude", ["longitude"]), ("price_usd", ["price"]), ("accommodates", ["accommodates"]),
+    ("availability_365", ["availability_365"]), ("reviews_per_month", ["reviews_per_month"]),
+    ("host_is_superhost", ["host_is_superhost"]), ("host_since", ["host_since"]),
+    ("neighbourhood", ["neighbourhood_cleansed", "neighbourhood"]), ("room_type", ["room_type"]),
+    ("bedrooms", ["bedrooms"]), ("description", ["description"]),
+]
+LISTING_HEADER_REQUIRED = ["id", "latitude", "longitude", "price", "accommodates", "description"]
+REVIEW_CSV_COLUMNS = [("listing_id", ["listing_id"]), ("review_id", ["id"]), ("date", ["date"]),
+                      ("comments", ["comments"])]
+REVIEW_HEADER_REQUIRED = ["listing_id", "id", "date", "comments"]
+
+
+@pytest.mark.parametrize("record,table,columns,required", [
+    (ingest.ListingRecord, ingest.LISTING_CSV, LISTING_CSV_COLUMNS, LISTING_HEADER_REQUIRED),
+    (ingest.ReviewRecord, ingest.REVIEW_CSV, REVIEW_CSV_COLUMNS, REVIEW_HEADER_REQUIRED),
+], ids=["listings", "reviews"])
+def test_csv_tables_read_their_columns_in_field_order(record, table, columns, required):
+    assert [name for name, _ in columns] == [f.name for f in dataclasses.fields(record)]
+    assert [(f.field, list(f.columns)) for f in table] == columns
+    assert list(dict.fromkeys(name for f in table if f.required for name in f.columns)) == required
