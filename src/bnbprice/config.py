@@ -63,6 +63,8 @@ class PipelineConfig:
                      "importance_top_n", "kmeans_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
+        if not self.kmeans_tol > 0.0:  # move < tol could never stop the loop
+            raise ValueError("kmeans_tol must be > 0")
         if len(self.split_ratios) != 3 or min(self.split_ratios) < 0:
             raise ValueError("split_ratios must be three non-negative numbers")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:

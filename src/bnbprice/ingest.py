@@ -5,15 +5,20 @@ per record field, in field order, the columns it reads, its converter
 with its domain rule, and whether the header must hold it. Rows failing a
 required field's rule are dropped and tallied by reason, never coerced;
 optional fields that fail to parse or break their rule come back absent
-and get imputed downstream. Quoted multi-line fields are supported because
-real exports embed newlines inside descriptions and review comments.
+and get imputed downstream. A listing stored in `dataset.json` must obey
+the same domains, or the file is refused. Quoted multi-line fields are
+supported because real exports embed newlines inside descriptions and
+review comments.
 """
 
 import collections
 import csv
 import itertools
 import math
+import operator
 import re
+import reprlib
+import sys
 from dataclasses import dataclass, fields
 from datetime import date
 
@@ -92,7 +97,8 @@ class _Refused(Exception):
 
 
 def _parsed(parse, lo, hi, reason=None):
-    """Converter of a cell to parse(cell stripped) in [lo, hi], else None or a refusal."""
+    """Converter of a cell to parse(cell stripped) in [lo, hi], else None or a refusal;
+    its domain is (lo, hi)."""
     def convert(cell):
         try:
             value = parse(cell.strip())
@@ -103,6 +109,7 @@ def _parsed(parse, lo, hi, reason=None):
         if reason:
             raise _Refused(reason)
         return None
+    convert.domain = (lo, hi)
     return convert
 
 
@@ -112,14 +119,19 @@ def _latitude(lat, lon):
         lat, lon = float(lat.strip()), float(lon.strip())
     except ValueError:
         raise _Refused("bad coordinate") from None
-    if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+    lo, hi = _latitude.domain
+    if lo <= lat <= hi and -180.0 <= lon <= 180.0:
         return lat
     raise _Refused("coordinate out of range")
+
+
+_latitude.domain = (-90.0, 90.0)
 
 
 def _price(required):
     """Converter of a price cell to a finite positive price, or to None if empty and not
     required."""
+    lo, hi = math.ulp(0.0), sys.float_info.max  # the finite positive floats
     def convert(cell):
         try:
             price = parse_price(cell)
@@ -127,9 +139,10 @@ def _price(required):
             raise _Refused("bad price") from None
         if price is None and required:
             raise _Refused("missing price")
-        if price is None or 0.0 < price < math.inf:
+        if price is None or lo <= price <= hi:
             return price
         raise _Refused("bad price" if price > 0.0 else "nonpositive price")  # > 0: an infinite price
+    convert.domain = (lo, hi)
     return convert
 
 
@@ -147,7 +160,8 @@ def _bool(cell):
 
 # A record field as its CSV table declares it: the columns it reads, the converter of their
 # cells, and whether the header must hold them. Only a required field's converter refuses a
-# row, with its drop reason; a field without columns is given by the caller.
+# row, with its drop reason; a field without columns is given by the caller. A converter
+# with a domain attribute, (lo, hi), gives only values in [lo, hi].
 CsvField = collections.namedtuple("CsvField", "field columns convert required")
 _ID = (-math.inf, math.inf)  # an id is never a feature, so it may pass float64's 2**53
 
@@ -298,12 +312,30 @@ def _listing_key(key):
     raise ValueError("dataset: reviews key %r must be a listing id" % key)
 
 
+def _check_domains(records, table, where):
+    """Refuse a record whose field lies outside its converter's domain: a stored value
+    obeys the rule its CSV cell did, and is never coerced."""
+    for f in table:
+        if not hasattr(f.convert, "domain"):
+            continue
+        lo, hi = f.convert.domain
+        values = [v for v in map(operator.attrgetter(f.field), records) if v is not None]
+        if values and lo <= min(values) and max(values) <= hi:
+            continue
+        for number, rec in enumerate(records, 1):
+            value = getattr(rec, f.field)
+            if value is not None and not lo <= value <= hi:
+                raise ValueError("%s row %d: %r must lie in [%r, %r], got %s"
+                                 % (where, number, f.field, lo, hi, reprlib.repr(value)))
+
+
 def dataset_from_doc(doc):
     version = field(doc, "schema_version", int, "dataset")
     if version != 1:
         raise IngestError("unsupported dataset schema_version %r" % version)
     listings = tuple(itertools.starmap(ListingRecord, rows_from_doc(
         field(doc, "listings", list, "dataset"), _LISTING_COLUMNS, "dataset: listings")))
+    _check_domains(listings, LISTING_CSV, "dataset: listings")
     grouped = field(doc, "reviews", dict, "dataset")
     lids = list(map(_listing_key, grouped))
     rows = rows_from_doc([rv for rvs in grouped.values() for rv in rvs], _REVIEW_COLUMNS,

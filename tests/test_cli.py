@@ -345,6 +345,7 @@ def test_out_of_range_model_param_exits_2_as_the_config_loads(tmp_path, caplog, 
                  "config grid: key 'model' must be int, got bool True", id="grid model true"),
     pytest.param("train", {"kmeans_max_iter": 0}, "kmeans_max_iter must be >= 1",
                  id="kmeans_max_iter 0"),
+    pytest.param("train", {"kmeans_tol": -1}, "kmeans_tol must be > 0", id="kmeans_tol -1"),
 ])
 def test_mistyped_nested_config_value_exits_2_as_the_config_loads(tmp_path, caplog, command,
                                                                    keys, expected):
@@ -449,6 +450,48 @@ def test_malformed_dataset_exits_2_naming_the_file(trained, tmp_path, caplog, sp
     assert main(["train", "--config", cfg]) == 2
     errors = error_lines(caplog)
     assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
+
+
+@pytest.mark.parametrize("index,value,expected", [
+    pytest.param(5, 10**400, "'accommodates' must lie in [1, 9007199254740992], got 1000",
+                 id="accommodates 10**400"),
+    pytest.param(12, 1e308, "'bedrooms' must lie in [0.0, 1000000.0], got 1e+308",
+                 id="bedrooms 1e308"),
+    pytest.param(4, -3.0, "'price_usd' must lie in [5e-324, 1.7976931348623157e+308], got -3.0",
+                 id="price_usd -3"),
+    pytest.param(2, 500.0, "'latitude' must lie in [-90.0, 90.0], got 500.0", id="latitude 500"),
+    pytest.param(6, 10**6, "'availability_365' must lie in [0, 365], got 1000000",
+                 id="availability_365 10**6"),
+])
+def test_a_stored_value_against_its_csv_domain_exits_2(trained, tmp_path, caplog, index, value,
+                                                      expected):
+    # dataset.json holds what ingest wrote, edited: each value breaks the rule that
+    # ingest.LISTING_CSV declares for its field, so train must refuse it, not coerce it
+    tmp, out, config = trained
+    doc = load_file(out / "dataset.json")
+    doc["listings"][0][index] = value
+    bad = tmp_path / "dataset.json"
+    bad.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "c.json", dataset=str(bad), out=str(tmp_path / "o"),
+                       k_clusters=2, min_df=1, cluster_svg=False, models=[{"kind": "ridge"}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and str(bad) in errors[0], errors
+    assert "dataset: listings row 1: " + expected in errors[0], errors
+
+
+def test_k_clusters_above_the_training_locations_exits_2_naming_the_key(trained, tmp_path,
+                                                                         caplog):
+    tmp, out, config = trained
+    cfg = write_config(tmp_path / "c.json", dataset=str(out / "dataset.json"),
+                       out=str(tmp_path / "o"), k_clusters=400, models=[{"kind": "ridge"}])
+    assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1, errors
+    assert ("k_clusters: k=400 exceeds the 120 distinct points among the training locations"
+            in errors[0]), errors
 
 
 def drop_vocab_terms(doc):

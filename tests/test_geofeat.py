@@ -2,17 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bnbprice import InvariantError, geofeat
 from conftest import make_listing
+import reference_kmeans
+
+
+def haversine_km(a, b):
+    """Great-circle distance in kilometres between two (lat, lon) points, one at a time:
+    the oracle of geofeat._distance_matrix under haversine.
+
+    Coordinates are degrees; the sphere radius is pinned to 6371.0 km.
+    """
+    lat1 = math.radians(a[0])
+    lat2 = math.radians(b[0])
+    dlat = lat2 - lat1
+    dlon = math.radians(b[1]) - math.radians(a[1])
+    h = (math.sin(dlat / 2.0) ** 2
+         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
+    return 2.0 * geofeat.EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
 def test_haversine_identity_and_known_distances():
     san_diego = (32.7157, -117.1611)
-    assert geofeat.haversine_km(san_diego, san_diego) == 0.0
+    assert haversine_km(san_diego, san_diego) == 0.0
     la, sf = (34.0522, -118.2437), (37.7749, -122.4194)
-    assert abs(geofeat.haversine_km(la, sf) - 559.0) <= 1.0
-    antipodal = geofeat.haversine_km((0.0, 0.0), (0.0, 180.0))
+    assert abs(haversine_km(la, sf) - 559.0) <= 1.0
+    antipodal = haversine_km((0.0, 0.0), (0.0, 180.0))
     assert antipodal == pytest.approx(math.pi * 6371.0, abs=1e-6)
 
 
@@ -20,11 +38,11 @@ def test_haversine_matrix_matches_scalar():
     rng = np.random.RandomState(3)
     pts = np.column_stack([rng.uniform(-80, 80, 20), rng.uniform(-179, 179, 20)])
     cents = np.column_stack([rng.uniform(-80, 80, 4), rng.uniform(-179, 179, 4)])
-    mat = geofeat._haversine_matrix(pts, cents)
+    mat = geofeat._distance_matrix(pts, cents, "haversine")
     for i in range(20):
         for j in range(4):
             assert mat[i, j] == pytest.approx(
-                geofeat.haversine_km(pts[i], cents[j]), rel=1e-12, abs=1e-9)
+                haversine_km(pts[i], cents[j]), rel=1e-12, abs=1e-9)
 
 
 def test_kmeans_symmetric_example():
@@ -76,6 +94,58 @@ def test_kmeans_haversine_metric_runs_and_differs():
     assert h_assign[a[0]] == h_assign[b[0]] != h_assign[c[0]]
 
 
+@st.composite
+def kmeans_case(draw):
+    """(points, k, metric, seed, max_iter): random, duplicate-heavy, integer-grid (exact
+    ties), tiny-spread or antimeridian points, with k from 1 to the number of distinct
+    points."""
+    shape = draw(st.sampled_from(("random", "duplicates", "grid", "tiny", "antimeridian")))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "random":
+        scale = draw(st.sampled_from((0.01, 1.0, 30.0)))
+        pts = rng.normal(0.0, scale, (n, 2)) + rng.uniform(-60.0, 60.0, 2)
+    elif shape == "duplicates":
+        sites = rng.uniform(-5.0, 5.0, (n // 8 + 1, 2)) + rng.uniform(-60.0, 60.0, 2)
+        pts = sites[rng.integers(0, len(sites), n)]
+    elif shape == "grid":
+        pts = rng.integers(0, draw(st.integers(2, 5)), (n, 2)).astype(float)
+    elif shape == "tiny":
+        spread = draw(st.sampled_from((1e-13, 1e-9, 1e-5)))
+        pts = np.array([33.5, -122.5]) + rng.uniform(-spread, spread, (n, 2))
+    else:
+        # near the pole, on both sides of longitude 180: a mean of degrees lies far from
+        # its points on the sphere, so under haversine clusters empty and get repaired
+        lon = rng.uniform(170.0, 180.0, n) * rng.choice((-1.0, 1.0), n)
+        pts = np.round(np.column_stack([rng.uniform(80.0, 90.0, n), lon]), 1)
+    distinct = np.unique(pts, axis=0).shape[0]
+    k = draw(st.sampled_from((1, distinct)) | st.integers(1, distinct))
+    return (pts, k, draw(st.sampled_from(geofeat.GEO_METRICS)), draw(st.integers(0, 99)),
+            draw(st.integers(1, 100)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=kmeans_case())
+# two centroids 1e-200 apart are both at distance 0, so the second starts empty and
+# _repair_empty fires
+@example(case=(np.array([[0.0, 0.0], [0.0, 1e-200], [1.0, 1.0]]), 3, "euclidean", 0, 100))
+# a grid point midway between two centroids: its distance equals half their gap, which
+# skips the point only without a margin, though rounding puts the other centroid nearer
+@example(case=(np.array([[2.0, 1.0], [3.0, 0.0], [3.0, 3.0], [2.0, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+               4, "haversine", 21, 93))
+# a point that _repair_empty moves must lose its carried bound, which covers every centroid
+# but the one it leaves
+@example(case=(np.array([[83.7, 170.1], [81.6, 172.3], [88.2, -171.8], [80.5, -170.6],
+                         [85.7, 170.6], [89.3, -174.8], [88.9, -177.2], [85.9, 178.1],
+                         [89.4, 178.8]]), 2, "haversine", 64, 100))
+def test_pruned_kmeans_matches_the_plain_loop(case):
+    pts, k, metric, seed, max_iter = case
+    want = reference_kmeans.kmeans_fit(pts, k, metric, seed, max_iter)
+    got = geofeat.kmeans_fit(pts, k, metric, seed, max_iter)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.iterations_run == want.iterations_run
+
+
 def test_kmeans_validation_errors():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="distinct"):
@@ -97,7 +167,8 @@ def test_repair_empty_steals_worst_fit_point():
         [2.0, 9.0, 9.0],
         [9.0, 8.0, 9.0],   # cluster 1 cannot donate its only member
     ])
-    fixed = geofeat._repair_empty(assign, dist, 3)
+    own = dist[np.arange(4), assign]
+    fixed = geofeat._repair_empty(assign, own, 3)
     assert fixed.tolist() == [0, 2, 0, 1]
     assert np.bincount(fixed, minlength=3).min() >= 1
 
@@ -105,14 +176,14 @@ def test_repair_empty_steals_worst_fit_point():
 def test_repair_empty_tie_goes_to_lowest_index():
     assign = np.array([0, 0, 0, 0])
     dist = np.array([[3.0, 9.0], [3.0, 9.0], [1.0, 9.0], [0.5, 9.0]])
-    fixed = geofeat._repair_empty(assign, dist, 2)
+    fixed = geofeat._repair_empty(assign, dist[np.arange(4), assign], 2)
     assert fixed.tolist() == [1, 0, 0, 0]
 
 
 def test_repair_empty_without_donor_raises():
     # one point for two clusters: the only member cannot be handed over
     with pytest.raises(InvariantError, match="no donor"):
-        geofeat._repair_empty(np.array([0]), np.array([[1.0, 2.0]]), 2)
+        geofeat._repair_empty(np.array([0]), np.array([1.0]), 2)
 
 
 def test_euclidean_distance_matches_difference_tensor_bit_for_bit():
