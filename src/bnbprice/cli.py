@@ -1,7 +1,7 @@
 """Command line entry point: ingest, train, predict, synth.
 
-Exit code 0 means every requested output was written; on failure the
-partial outputs of the failing command are removed and the code is 2.
+Exit code 0 means every requested output was written; on failure the code
+is 2 and the earlier run's outputs are as they were (see _committing).
 """
 
 import argparse
@@ -9,6 +9,9 @@ import contextlib
 import csv
 import logging
 import math
+import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +29,35 @@ class CliError(ValueError):
 
 
 @contextlib.contextmanager
-def _claiming():
-    """Yield claim(path), which records path and returns it as a Path; when the
-    block raises, every claimed file is removed."""
-    outputs = []
+def _committing():
+    """Yield stage(directory): an empty .staging-* directory in directory, made on first
+    use. When the block returns, each staged file replaces its namesake in directory; if
+    a move fails, the files moved before it are removed. Staging directories always go."""
+    staged = {}
 
-    def claim(path):
-        outputs.append(Path(path))
-        return outputs[-1]
+    def stage(directory):
+        directory = Path(directory)
+        if directory not in staged:
+            directory.mkdir(parents=True, exist_ok=True)
+            staged[directory] = Path(tempfile.mkdtemp(prefix=".staging-", dir=directory))
+        return staged[directory]
 
+    moved = []
     try:
-        yield claim
-    except BaseException:
-        for path in outputs:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+        yield stage
+        for directory, staging in staged.items():
+            for name in sorted(os.listdir(staging)):
+                try:
+                    os.replace(staging / name, directory / name)
+                except OSError as exc:
+                    for path in moved:
+                        with contextlib.suppress(OSError):
+                            path.unlink()
+                    raise CliError("cannot write %s: %s" % (directory / name, exc.strerror))
+                moved.append(directory / name)
+    finally:
+        for staging in staged.values():
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 def _load_cfg(args):
@@ -86,11 +100,10 @@ def cmd_ingest(args):
         drops += ldrops + rdrops
     dataset = ingest.join_dataset(all_listings, all_reviews, ingest.tally(drops))
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _claiming() as claim:
-        serialize.dump_file(ingest.dataset_to_doc(dataset), claim(cfg.dataset_path))
-        serialize.dump_file(dataset.drop_log, claim(out_dir / "drop_log.json"))
+    with _committing() as stage:
+        serialize.dump_file(ingest.dataset_to_doc(dataset),
+                            stage(cfg.dataset_path.parent) / cfg.dataset_path.name)
+        serialize.dump_file(dataset.drop_log, stage(cfg.out) / "drop_log.json")
     n_reviews = sum(len(v) for v in dataset.reviews_by_listing.values())
     log.info("ingested %d listings and %d reviews from %d city file pairs (%d rows dropped)",
              len(dataset.listings), n_reviews, len(cfg.cities),
@@ -154,20 +167,18 @@ def cmd_train(args):
         pipeline_doc=transform.pipeline_to_doc(fitted),
     )
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _claiming() as claim:
-        written = evalreport.emit_report(results, out_dir, cfg.importance_top_n, claim=claim)
+    with _committing() as stage:
+        staging = stage(cfg.out)
+        evalreport.emit_report(results, staging, cfg.importance_top_n)
         if cfg.cluster_svg:
             points = np.array([[dataset.listings[i].latitude,
                                 dataset.listings[i].longitude]
                                for i in split.train])
             labels = geofeat.assign_all(points, fitted.clusters)
-            path = claim(out_dir / "clusters.svg")
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(staging / "clusters.svg", "w", encoding="utf-8") as fh:
                 fh.write(geofeat.clusters_svg(points, labels, fitted.clusters))
-            written.append(path)
-    log.info("wrote %d report files to %s", len(written), out_dir)
+        n_written = len(os.listdir(staging))
+    log.info("wrote %d report files to %s", n_written, cfg.out)
     return 0
 
 
@@ -190,23 +201,27 @@ def cmd_predict(args):
         raise CliError("no listing in %s can be scored (%s)"
                        % (args.listings, _tallies(dropped) or "no data rows"))
     matrix = transform.assemble_matrix(dataset, range(len(dataset.listings)), fitted)
-    pred = predict_model(model, matrix.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+        pred = predict_model(model, matrix.values)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _claiming() as claim:
-        path = claim(out_dir / "predictions.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _committing() as stage:
+        staging = stage(out_dir)
+        with open(staging / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("id,ln_price_pred,price_pred\n")
-            for lid, ln_pred in zip(matrix.ids, pred):
-                fh.write("%d,%s,%s\n" % (lid, serialize.format_float(ln_pred),
-                                         serialize.format_float(math.exp(ln_pred))))
-        drops_path = claim(out_dir / "predict_drops.csv")
-        with open(drops_path, "w", encoding="utf-8", newline="") as fh:
+            try:
+                for lid, ln_pred in zip(matrix.ids, pred):
+                    fh.write("%d,%s,%s\n" % (lid, serialize.format_float(ln_pred),
+                                             serialize.format_float(math.exp(ln_pred))))
+            except (ValueError, OverflowError):  # format_float refuses inf and NaN
+                raise CliError("model %s gives listing %d the ln price %r, whose price is "
+                               "not a finite float" % (args.model, lid, float(ln_pred)))
+        with open(staging / "predict_drops.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([ingest.Drop._fields, *drops])
-    log.info("wrote %d predictions to %s", len(matrix.ids), path)
+    log.info("wrote %d predictions to %s", len(matrix.ids), out_dir / "predictions.csv")
     if dropped or dataset.drop_log:
         log.info("listing rows dropped: %s, listed in %s; review rows not used: %s",
-                 _tallies(dropped) or "none", drops_path, _tallies(dataset.drop_log) or "none")
+                 _tallies(dropped) or "none", out_dir / "predict_drops.csv",
+                 _tallies(dataset.drop_log) or "none")
     return 0
 
 
@@ -220,11 +235,10 @@ def cmd_synth(args):
                            seed=seed, noise_sigma=args.noise_sigma)
     listings, reviews, truth = synth.generate(spec)
     out_dir = Path(args.out) if args.out else Path("synth")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _claiming() as claim:
+    with _committing() as stage:
         for name, blob in (("listings.csv", listings), ("reviews.csv", reviews),
                            ("truth.csv", truth)):
-            with open(claim(out_dir / name), "wb") as fh:
+            with open(stage(out_dir) / name, "wb") as fh:
                 fh.write(blob)
     log.info("generated %d listings across %d cities in %s",
              spec.n_listings, spec.n_cities, out_dir)

@@ -9,7 +9,6 @@ import html
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -175,16 +174,12 @@ def importance_svg(entries):
     return "\n".join(parts) + "\n"
 
 
-def emit_report(run_results, out_dir, top_n=60, claim=Path):
-    """Write report.json, importance files, pipeline and model files.
+def emit_report(run_results, out_dir, top_n=60):
+    """Write report.json, importance files, pipeline and model files into out_dir.
 
     Each model file records the sha256 of the pipeline.json bytes. The
     importance chart ranks the model with the lowest validation MSE.
-    Each path goes through claim, which returns it, before its write
-    starts, so a failing run can delete partial output. Returns the list
-    of paths written.
     """
-    written = []
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset_summary": run_results.dataset_summary,
@@ -197,27 +192,22 @@ def emit_report(run_results, out_dir, top_n=60, claim=Path):
         "grid": list(run_results.grid),
         "config": run_results.config_doc,
     }
-    written.append(claim(out_dir / "report.json"))
-    serialize.dump_file(report, written[-1])
+    serialize.dump_file(report, out_dir / "report.json")
 
     # the first of equal lowest validation MSEs
     best = min(run_results.models, key=lambda m: m.val.mse)
     entries = feature_importance(best.model, run_results.columns)
-    written.append(claim(out_dir / "importance.csv"))
-    with open(written[-1], "w", encoding="utf-8", newline="") as fh:
+    with open(out_dir / "importance.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "feature", "score"])
         for e in entries:
             writer.writerow([e.rank, e.feature, serialize.format_float(e.score)])
 
     shown = entries[:top_n] if top_n is not None else entries
-    written.append(claim(out_dir / "importance.svg"))
-    with open(written[-1], "w", encoding="utf-8") as fh:
+    with open(out_dir / "importance.svg", "w", encoding="utf-8") as fh:
         fh.write(importance_svg(shown))
-    written.append(claim(out_dir / "pipeline.json"))
     pipeline_sha256 = serialize.sha256_hex(
-        serialize.dump_file(run_results.pipeline_doc, written[-1]))
+        serialize.dump_file(run_results.pipeline_doc, out_dir / "pipeline.json"))
     for i, m in enumerate(run_results.models):
-        written.append(claim(out_dir / ("model_%d_%s.json" % (i, m.kind))))
-        serialize.dump_file(model_to_doc(m.model, pipeline_sha256), written[-1])
-    return written
+        serialize.dump_file(model_to_doc(m.model, pipeline_sha256),
+                            out_dir / ("model_%d_%s.json" % (i, m.kind)))

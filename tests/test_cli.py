@@ -5,6 +5,8 @@ import io
 import json
 import logging
 import math
+import os
+import shutil
 import warnings
 
 import pytest
@@ -66,6 +68,7 @@ def test_train_writes_all_report_files(trained):
     assert [m["kind"] for m in report["models"]] == ["ridge", "gbdt"]
     assert report["split"]["sizes"] == {"train": 120, "val": 15, "test": 15}
     assert report["config"]["seed"] == 1
+    assert list(out.glob(".staging-*")) == []
 
 
 def test_grid_results_recorded_in_report(trained):
@@ -245,6 +248,59 @@ def test_failed_emit_cleans_partial_outputs(trained, tmp_path):
                           "out": str(broken)})
     assert main(["train", "--config", cfg]) == 2
     assert not (broken / "report.json").exists()
+
+
+def test_a_failed_move_removes_the_files_moved_before_it(trained, tmp_path, caplog):
+    tmp, out, config = trained
+    broken = tmp_path / "broken_out"
+    (broken / "report.json").mkdir(parents=True)  # outputs move in name order; this one last
+    cfg = write_config(tmp_path / "broken.json",
+                       **{**json.load(open(config)), "dataset": str(out / "dataset.json"),
+                          "out": str(broken), "models": [{"kind": "ridge"}]})
+    assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "cannot write %s" % (broken / "report.json") in errors[0], errors
+    assert os.listdir(broken) == ["report.json"]
+
+
+def tree_hashes(directory):
+    """sha256 of every file under directory, keyed by its relative path."""
+    return {str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_failed_train_leaves_the_earlier_run_as_it_was(trained, tmp_path, monkeypatch):
+    tmp, out, config = trained
+    rerun = tmp_path / "o"
+    rerun.mkdir()
+    shutil.copy(out / "dataset.json", rerun / "dataset.json")
+    cfg = write_config(tmp_path / "c.json", **{**json.load(open(config)), "out": str(rerun),
+                                               "models": [{"kind": "ridge"}]})
+    assert main(["train", "--config", cfg]) == 0
+    before = tree_hashes(rerun)
+    assert len(before) == 7 and "clusters.svg" in before
+
+    def fail(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.geofeat, "clusters_svg", fail)  # the last file train writes
+    assert main(["train", "--config", cfg]) == 2
+    assert tree_hashes(rerun) == before
+    assert list(rerun.glob(".staging-*")) == []
+
+
+def test_ingest_writes_a_dataset_outside_out_that_train_reads(trained, tmp_path):
+    tmp, out, config = trained
+    dataset = tmp_path / "elsewhere" / "ds.json"
+    cfg = write_config(tmp_path / "c.json", **{**json.load(open(config)), "dataset": str(dataset),
+                                               "out": str(tmp_path / "o"),
+                                               "models": [{"kind": "ridge"}]})
+    assert main(["ingest", "--config", cfg]) == 0
+    assert dataset.read_bytes() == (out / "dataset.json").read_bytes()
+    assert os.listdir(dataset.parent) == ["ds.json"]
+    assert os.listdir(tmp_path / "o") == ["drop_log.json"]
+    assert main(["train", "--config", cfg]) == 0
+    assert load_file(tmp_path / "o" / "report.json")["dataset_summary"]["n_listings"] == 150
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -763,6 +819,40 @@ def test_malformed_model_exits_2_naming_the_file(trained, tmp_path, caplog, sour
     errors = error_lines(caplog)
     assert len(errors) == 1 and str(bad) in errors[0] and expected in errors[0], errors
     assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def overflowing_intercept(doc):
+    doc["intercept"] = 800.0  # exp(800) overflows
+
+
+def every_weight_1e308(doc):
+    doc["intercept"] = 1e308
+    doc["coefficients"] = [1e308] * len(doc["coefficients"])
+
+
+@pytest.mark.parametrize("spoil", [overflowing_intercept, every_weight_1e308])
+def test_predict_refuses_a_price_that_is_not_a_finite_float(trained, tmp_path, caplog, spoil):
+    tmp, out, config = trained
+    doc = load_file(out / "model_0_ridge.json")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    args = ["predict", "--out", str(tmp_path / "p"), "--pipeline", str(out / "pipeline.json"),
+            "--model", str(model), "--listings", str(tmp / "data" / "listings.csv")]
+    assert main(args) == 0
+    before = tree_hashes(tmp_path / "p")
+    assert sorted(before) == ["predict_drops.csv", "predictions.csv"]
+    spoil(doc)
+    model.write_text(json.dumps(doc))
+    caplog.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    first_id = next(csv.DictReader(open(tmp / "data" / "listings.csv")))["id"]
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    assert str(model) in errors[0] and "listing %s " % first_id in errors[0], errors
+    assert tree_hashes(tmp_path / "p") == before
+    assert list((tmp_path / "p").glob(".staging-*")) == []
 
 
 def add_row_described_by(text):

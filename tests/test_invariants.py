@@ -27,3 +27,26 @@ def test_only_serialize_imports_json():
                 found.append("%s:%d" % (path.relative_to(root), node.lineno))
     assert [f for f in found if not f.startswith("serialize.py:")] == []
     assert found, "serialize.py no longer imports json"
+
+
+def _moves_or_removes(call):
+    func = call.func
+    if isinstance(func, ast.Name):  # a from-import of one of the names below
+        return func.id in {"replace", "rename", "remove", "unlink", "rmtree"}
+    if not isinstance(func, ast.Attribute):
+        return False
+    owner = func.value.id if isinstance(func.value, ast.Name) else None
+    return (func.attr in {"rename", "unlink", "rmtree"}
+            or (owner == "os" and func.attr in {"replace", "remove"}))
+
+
+def test_only_cli_moves_or_removes_files():
+    # the write policy (stage, then commit) lives in cli._committing alone
+    root = Path(bnbprice.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _moves_or_removes(node):
+                found.append("%s:%d" % (path.relative_to(root), node.lineno))
+    assert [f for f in found if not f.startswith("cli.py:")] == []
+    assert found, "cli.py no longer moves or removes files"
