@@ -14,9 +14,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from . import evalreport, geofeat, ingest, serialize, synth, transform
+from . import evalreport, geofeat, ingest, np, serialize, synth, transform
 from .config import load_config
 from .models import fit_model, grid_search, model_from_doc, params_from_entry, predict_model
 from .textfeat import load_lexicon, load_stopwords
@@ -291,8 +289,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    # ValueError also covers numpy's LinAlgError
     except (CliError, ingest.IngestError, transform.AssemblyError,
-            np.linalg.LinAlgError, RuntimeError, OSError, ValueError) as exc:
+            RuntimeError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 2
 

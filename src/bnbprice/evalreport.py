@@ -10,9 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import InvariantError, serialize
+from . import InvariantError, np, serialize
 from .models import KINDS, kind_of, model_to_doc
 
 REPORT_SCHEMA_VERSION = 1

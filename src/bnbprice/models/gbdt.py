@@ -65,9 +65,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .. import InvariantError
+from .. import InvariantError, np
 
 
 @dataclass(frozen=True)

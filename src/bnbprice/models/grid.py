@@ -3,8 +3,7 @@
 import itertools
 import logging
 
-import numpy as np
-
+from .. import np
 from . import registry
 
 log = logging.getLogger(__name__)
@@ -36,7 +35,7 @@ def grid_search(model_kind, param_grid, train_matrix, val_matrix,
                                        train_matrix.target, seed=seed)
             pred = registry.predict_model(model, val_matrix.values)
             val_mse = float(np.mean((np.asarray(val_matrix.target, dtype=float) - pred) ** 2))
-        except (ValueError, FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
+        except (ValueError, FloatingPointError, RuntimeError) as exc:  # LinAlgError too
             log.warning("grid cell %r failed: %s", cell, exc)
             cells.append({"params": cell, "val_mse": None, "status": "failed"})
             continue

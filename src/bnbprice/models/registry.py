@@ -9,8 +9,7 @@ pipeline.json written with it, a model file is the kind's model
 dataclass, as serialize's checked pair writes and reads it.
 """
 
-import numpy as np
-
+from .. import np
 from ..serialize import dataclass_from_doc, dataclass_to_doc, field
 from .gbdt import GbdtModel, GbdtParams, gbdt_fit, gbdt_predict
 from .mlp import MlpModel, MlpParams, mlp_fit, mlp_predict

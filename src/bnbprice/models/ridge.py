@@ -8,7 +8,7 @@ Cholesky factorization, then c = ybar - xbar . w.
 import logging
 from dataclasses import dataclass, field
 
-import numpy as np
+from .. import np
 
 log = logging.getLogger(__name__)
 

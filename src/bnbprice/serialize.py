@@ -14,10 +14,9 @@ import json
 import math
 import operator
 import reprlib
+import sys
 import typing
 from datetime import date
-
-import numpy as np
 
 # the interpreter's own sha256: hashlib would map OpenSSL, about 4 MB more
 # resident memory in every command
@@ -39,13 +38,16 @@ def format_float(x):
 
 
 def _fold(value):
-    # numpy scalars leak in from feature math; np.float64 is a float already
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    # numpy scalars leak in from feature math; np.float64 is a float already.
+    # numpy is read from sys.modules: if it is not loaded, no numpy value exists
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.bool_):
+            return bool(value)
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
     raise ValueError("cannot serialize %r" % type(value))
 
 
@@ -296,7 +298,8 @@ def dataclass_from_doc(cls, doc, where, required=False):
 
 
 def _to_json(value, annotation):
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")  # as in _fold
+    if np is not None and isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, date):
         return value.isoformat()

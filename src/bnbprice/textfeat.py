@@ -9,7 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
+from . import np
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 

@@ -10,9 +10,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 
-import numpy as np
-
-from . import geofeat, textfeat
+from . import geofeat, np, textfeat
 from .serialize import dataclass_from_doc, dataclass_to_doc, field
 
 
@@ -113,9 +111,9 @@ def log_price(price_usd):
 @dataclass
 class FeatureMatrix:
     """(n, m) feature values, column names, ln(price) if every row is priced (else None), ids."""
-    values: np.ndarray
+    values: "np.ndarray"
     columns: list
-    target: np.ndarray | None
+    target: "np.ndarray | None"
     ids: list
 
 

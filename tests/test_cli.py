@@ -424,6 +424,26 @@ def test_scaler_map_typo_exits_2_with_one_line(trained, tmp_path, caplog):
     assert not (tmp_path / "o").exists()
 
 
+def test_diverging_mlp_exits_2_with_one_line_and_no_warning(tmp_path, caplog, capfd):
+    data = tmp_path / "data"
+    assert main(["synth", "--n", "300", "--seed", "3", "--out", str(data)]) == 0
+    cfg = write_config(tmp_path / "c.json",
+                       cities={"s": {"listings": str(data / "listings.csv"),
+                                     "reviews": str(data / "reviews.csv")}},
+                       out=str(tmp_path / "o"), seed=1, k_clusters=5, min_df=2,
+                       models=[{"kind": "mlp", "hidden_sizes": [8], "epochs": 5,
+                                "step_size": 1e6}])
+    assert main(["ingest", "--config", cfg]) == 0
+    caplog.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", cfg]) == 2
+    errors = error_lines(caplog)
+    assert len(errors) == 1 and errors[0].startswith("non-finite training loss at epoch 3"), errors
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in capfd.readouterr().err
+
+
 def test_partial_scaler_map_keeps_the_other_defaults(trained, tmp_path):
     tmp, out, config = trained
     cfg = write_config(tmp_path / "c.json", dataset=str(out / "dataset.json"),

@@ -158,6 +158,19 @@ def test_kmeans_validation_errors():
         geofeat.kmeans_fit(np.zeros((4, 2)), 0)
 
 
+def test_kmeans_counts_distinct_points_as_np_unique_does():
+    # duplicate rows, and rows that differ only in the sign of zero, count once
+    pts = np.array([[1.0, 2.0], [0.0, -0.0], [1.0, 2.0], [-0.0, 0.0],
+                    [0.0, 2.0], [1.0, 0.0], [-0.0, 2.0], [0.0, 0.0]])
+    assert np.unique(pts, axis=0).shape[0] == 4
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        shuffled = pts[rng.permutation(len(pts))]
+        assert geofeat.kmeans_fit(shuffled, 4).centroids.shape == (4, 2)
+        with pytest.raises(ValueError, match=r"^k=5 exceeds the 4 distinct points$"):
+            geofeat.kmeans_fit(shuffled, 5)
+
+
 def test_repair_empty_steals_worst_fit_point():
     # cluster 2 is empty; cluster 0 has three members, cluster 1 only one
     assign = np.array([0, 0, 0, 1])

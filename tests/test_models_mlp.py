@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,10 +109,21 @@ def test_divergence_raises_with_diagnostics():
     rng = np.random.RandomState(5)
     X = rng.randn(100, 2) * 10.0
     y = rng.randn(100) * 10.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="step_size"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error, not a numpy warning, reports it
+        with pytest.raises(RuntimeError, match="non-finite training loss at epoch .*step_size"):
             mlp.mlp_fit(X, y, layer_sizes=(2, 8, 1), epochs=200,
                         batch_size=16, step_size=10.0, seed=0)
+
+
+def test_non_finite_weights_after_the_last_update_raise():
+    # one batch: its loss is finite, and no later loss sees the overflowed update
+    X = np.array([[100.0, -50.0], [30.0, 80.0], [-70.0, 20.0]])
+    y = np.array([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^non-finite weights at epoch 0; step_size 1e\+306"):
+            mlp.mlp_fit(X, y, layer_sizes=(2, 3, 1), epochs=1, batch_size=3, step_size=1e306)
 
 
 def test_validation_errors():
