@@ -132,8 +132,11 @@ def cmd_train(args):
     stopwords = load_stopwords(cfg.stopwords or synth.default_stopwords_path())
 
     split = evalreport.split_dataset(len(dataset.listings), cfg.split_ratios, cfg.seed)
-    fitted = transform.fit_pipeline(dataset, split.train, cfg, lexicon, stopwords)
-    mat_train = transform.assemble_matrix(dataset, split.train, fitted)
+    # the training descriptions are tokenized once, for fitting and assembly
+    descriptions = transform.description_tokens([dataset.listings[i] for i in split.train])
+    fitted = transform.fit_pipeline(dataset, split.train, cfg, lexicon, stopwords, descriptions)
+    mat_train = transform.assemble_matrix(dataset, split.train, fitted, descriptions)
+    del descriptions
     mat_val = transform.assemble_matrix(dataset, split.val, fitted)
     mat_test = transform.assemble_matrix(dataset, split.test, fitted)
 

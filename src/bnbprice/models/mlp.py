@@ -114,11 +114,13 @@ def mlp_fit(X, y, layer_sizes, epochs=MlpParams.epochs, batch_size=MlpParams.bat
     vel_b = [np.zeros_like(b) for b in biases]
 
     n = X.shape[0]
+    epoch_losses = []  # mean batch loss per epoch
     # a diverging fit overflows before its loss is checked: the check, not a
     # numpy warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             perm = rng.permutation(n)
+            total = 0.0
             for start in range(0, n, batch_size):
                 batch = perm[start:start + batch_size]
                 loss, grad_w, grad_b = loss_and_grads(weights, biases, X[batch], y[batch])
@@ -126,15 +128,22 @@ def mlp_fit(X, y, layer_sizes, epochs=MlpParams.epochs, batch_size=MlpParams.bat
                     raise RuntimeError(
                         "non-finite training loss at epoch %d; step_size %g is too large"
                         % (epoch, step_size))
+                total += loss
                 for layer in range(len(weights)):
                     vel_w[layer] = momentum * vel_w[layer] - step_size * grad_w[layer]
                     weights[layer] = weights[layer] + vel_w[layer]
                     vel_b[layer] = momentum * vel_b[layer] - step_size * grad_b[layer]
                     biases[layer] = biases[layer] + vel_b[layer]
+            epoch_losses.append(total / math.ceil(n / batch_size))
     # no loss check covers the last update
     if not all(np.isfinite(a).all() for a in (*weights, *biases)):
         raise RuntimeError("non-finite weights at epoch %d; step_size %g is too large"
                            % (epochs - 1, step_size))
+    # a fit that diverges without overflowing; one epoch has nothing to compare
+    if epoch_losses[-1] > epoch_losses[0]:
+        raise RuntimeError("mean training loss rose from %g in epoch 0 to %g in epoch %d; "
+                           "step_size %g is too large"
+                           % (epoch_losses[0], epoch_losses[-1], epochs - 1, step_size))
     return MlpModel(MlpShape(layer_sizes), weights, biases)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import serialize
-from .textfeat import load_lexicon, score_review
+from .textfeat import listing_sentiment, load_lexicon
 
 BASE_LOG_PRICE = 4.0
 ACCOMMODATES_COEF = 0.35
@@ -154,11 +154,7 @@ def generate(spec):
             review_rows.append([lid, review_id, day.isoformat(),
                                 70000 + review_id, "guest", text])
             review_id += 1
-        if comments:
-            sentiment = sum(score_review(t, lexicon)
-                            for t in comments) / len(comments)
-        else:
-            sentiment = 0.0
+        sentiment = listing_sentiment(comments, lexicon)[0]
 
         ln_true = (BASE_LOG_PRICE
                    + ACCOMMODATES_COEF * math.log(accommodates)

@@ -159,16 +159,25 @@ def resolve_snapshot_date(dataset, configured):
     return date(1970, 1, 1)
 
 
-def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords):
-    """Learn all apply-time state from the training rows only."""
+def description_tokens(listings):
+    """textfeat.Tokens of the listings' descriptions, row for row."""
+    return textfeat.tokenize_all([r.description for r in listings])
+
+
+def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords, descriptions=None):
+    """Learn all apply-time state from the training rows only.
+
+    descriptions is their description_tokens, made here when None.
+    """
     train = [dataset.listings[i] for i in train_indices]
     if not train:
         raise ValueError("empty training split")
 
-    vocab = textfeat.build_vocab([r.description for r in train],
-                                 cfg.min_df, cfg.max_terms, stopwords)
+    if descriptions is None:
+        descriptions = description_tokens(train)
+    vocab = descriptions.vocab(cfg.min_df, cfg.max_terms, stopwords)
     y = np.array([log_price(r.price_usd) for r in train])
-    vectors = np.array([textfeat.tfidf_vector(r.description, vocab) for r in train])
+    vectors, = descriptions.tfidf_blocks(vocab)
     direction = textfeat.fit_description_direction(vectors, y)
 
     points = np.array([[r.latitude, r.longitude] for r in train])
@@ -205,7 +214,7 @@ def fit_pipeline(dataset, train_indices, cfg, lexicon, stopwords):
     )
 
 
-def _numeric(out, listings, dataset, fp):
+def _numeric(out, listings, dataset, descriptions, fp):
     accommodates = np.array([r.accommodates for r in listings], dtype=float)
     out[:, 0] = apply_scaler(accommodates, fp.scalers["accommodates"])
     for j, name in enumerate(OPTIONAL_NUMERIC):
@@ -215,22 +224,22 @@ def _numeric(out, listings, dataset, fp):
         out[:, 2 * j + 2] = [v is None for v in raw]
 
 
-def _text(out, listings, dataset, fp):
+def _text(out, listings, dataset, descriptions, fp):
+    if descriptions is None:
+        descriptions = description_tokens(listings)
     reviews = dataset.reviews_by_listing
     out[:, 0:2] = [textfeat.listing_sentiment([rv.comments for rv in reviews.get(r.id, ())],
                                               fp.lexicon)
                    for r in listings]
-    out[:, 2] = [textfeat.description_score(textfeat.tfidf_vector(r.description, fp.vocab),
-                                            fp.direction)
-                 for r in listings]
+    out[:, 2] = textfeat.description_scores(descriptions, fp.vocab, fp.direction)
 
 
-def _clusters(out, listings, dataset, fp):
+def _clusters(out, listings, dataset, descriptions, fp):
     labels = geofeat.assign_all([[r.latitude, r.longitude] for r in listings], fp.clusters)
     out[np.arange(len(listings)), labels] = 1.0
 
 
-def _neighbourhoods(out, listings, dataset, fp):
+def _neighbourhoods(out, listings, dataset, descriptions, fp):
     # one-hot over the categories; an unseen or absent name hits "other"
     index = _first_index(fp.neighbourhoods.categories)
     names = [geofeat.MISSING_NEIGHBOURHOOD if r.neighbourhood is None else r.neighbourhood
@@ -239,7 +248,7 @@ def _neighbourhoods(out, listings, dataset, fp):
     out[:, -1] = [geofeat.neighbourhood_popularity(r, fp.neighbourhoods) for r in listings]
 
 
-def _host(out, listings, dataset, fp):
+def _host(out, listings, dataset, descriptions, fp):
     out[:, 0] = [bool(r.host_is_superhost) for r in listings]
     out[:, 1:3] = [host_experience_months(r.host_since, fp.snapshot_date) for r in listings]
     out[:, 1] = apply_scaler(out[:, 1], fp.scalers["host_experience_months"])
@@ -256,7 +265,8 @@ def _first_index(labels):
 
 # The feature blocks in matrix order: each block's column names, from the
 # fitted pipeline, beside the builder that fills the block's (n, width)
-# slice of the matrix for all n listings at once.
+# slice of the matrix for all n listings at once, given their descriptions'
+# Tokens row for row or None.
 BLOCKS = (
     (lambda fp: ["accommodates"] + [c for name in OPTIONAL_NUMERIC
                                     for c in (name, name + "_missing")], _numeric),
@@ -269,8 +279,12 @@ BLOCKS = (
 )
 
 
-def assemble_matrix(dataset, indices, fitted):
-    """Build the feature matrix for the given listing rows, one block at a time."""
+def assemble_matrix(dataset, indices, fitted, descriptions=None):
+    """Build the feature matrix for the given listing rows, one block at a time.
+
+    descriptions is their description_tokens, made by the text block when
+    None, so that they are not held while the other blocks are built.
+    """
     listings = [dataset.listings[i] for i in indices]
     columns = fitted.columns
     values = np.zeros((len(listings), len(columns)))
@@ -278,7 +292,7 @@ def assemble_matrix(dataset, indices, fitted):
     for block_names, fill in BLOCKS:
         stop = start + len(block_names(fitted))
         if listings:
-            fill(values[:, start:stop], listings, dataset, fitted)
+            fill(values[:, start:stop], listings, dataset, descriptions, fitted)
         start = stop
     if not np.all(np.isfinite(values)):
         raise AssemblyError("non-finite value in assembled matrix")

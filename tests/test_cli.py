@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnbprice import cli, ingest
+from bnbprice import cli, ingest, textfeat
 from bnbprice.cli import main
 from bnbprice.serialize import load_file
 import reference_ingest
@@ -424,24 +424,67 @@ def test_scaler_map_typo_exits_2_with_one_line(trained, tmp_path, caplog):
     assert not (tmp_path / "o").exists()
 
 
-def test_diverging_mlp_exits_2_with_one_line_and_no_warning(tmp_path, caplog, capfd):
+def one_model_config(tmp_path, model):
+    """Config of one model on a 300-listing synth, ingested into tmp_path/o."""
     data = tmp_path / "data"
     assert main(["synth", "--n", "300", "--seed", "3", "--out", str(data)]) == 0
     cfg = write_config(tmp_path / "c.json",
                        cities={"s": {"listings": str(data / "listings.csv"),
                                      "reviews": str(data / "reviews.csv")}},
                        out=str(tmp_path / "o"), seed=1, k_clusters=5, min_df=2,
-                       models=[{"kind": "mlp", "hidden_sizes": [8], "epochs": 5,
-                                "step_size": 1e6}])
+                       models=[model])
     assert main(["ingest", "--config", cfg]) == 0
+    return cfg
+
+
+def one_mlp_config(tmp_path, **mlp):
+    return one_model_config(tmp_path, {"kind": "mlp", "hidden_sizes": [8], **mlp})
+
+
+def test_train_and_predict_tokenize_each_text_once(tmp_path, monkeypatch):
+    cfg = one_model_config(tmp_path, {"kind": "ridge"})
+    texts = []
+    tokenize = textfeat.tokenize
+    monkeypatch.setattr(textfeat, "tokenize", lambda text: texts.append(text) or tokenize(text))
+    assert main(["train", "--config", cfg]) == 0
+    summary = load_file(tmp_path / "o" / "report.json")["dataset_summary"]
+    assert (summary["n_listings"], summary["n_reviews"]) == (300, 696)
+    assert len(texts) == 300 + 696
+    texts.clear()
+    assert main(["predict", "--config", cfg, "--model", str(tmp_path / "o" / "model_0_ridge.json"),
+                 "--listings", str(tmp_path / "data" / "listings.csv"),
+                 "--reviews", str(tmp_path / "data" / "reviews.csv")]) == 0
+    assert len(texts) == 300 + 696
+
+
+def train_without_warnings(cfg, caplog, capfd):
+    """Exit code and ERROR lines of train; no warning may reach the user."""
     caplog.clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["train", "--config", cfg]) == 2
-    errors = error_lines(caplog)
-    assert len(errors) == 1 and errors[0].startswith("non-finite training loss at epoch 3"), errors
+        code = main(["train", "--config", cfg])
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in capfd.readouterr().err
+    return code, error_lines(caplog)
+
+
+def test_diverging_mlp_exits_2_with_one_line_and_no_warning(tmp_path, caplog, capfd):
+    cfg = one_mlp_config(tmp_path, epochs=5, step_size=1e6)
+    code, errors = train_without_warnings(cfg, caplog, capfd)
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("non-finite training loss at epoch 3"), errors
+
+
+@pytest.mark.parametrize("step_size", [1.0, 1e3])
+def test_an_mlp_whose_loss_rose_without_overflow_exits_2(tmp_path, caplog, capfd, step_size):
+    cfg = one_mlp_config(tmp_path, epochs=2, step_size=step_size)
+    before = tree_hashes(tmp_path / "o")
+    code, errors = train_without_warnings(cfg, caplog, capfd)
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("mean training loss rose from "), errors
+    assert errors[0].endswith(" in epoch 1; step_size %g is too large" % step_size), errors
+    assert sorted(before) == ["dataset.json", "drop_log.json"]
+    assert tree_hashes(tmp_path / "o") == before
 
 
 def test_partial_scaler_map_keeps_the_other_defaults(trained, tmp_path):

@@ -126,6 +126,19 @@ def test_non_finite_weights_after_the_last_update_raise():
             mlp.mlp_fit(X, y, layer_sizes=(2, 3, 1), epochs=1, batch_size=3, step_size=1e306)
 
 
+def test_a_loss_that_rose_without_overflow_raises():
+    rng = np.random.RandomState(5)
+    X = rng.randn(100, 2)
+    y = rng.randn(100)
+    fit = dict(layer_sizes=(2, 8, 1), batch_size=100, step_size=1.0, seed=0)
+    with pytest.raises(RuntimeError, match=r"^mean training loss rose from 0\.9\d+ in epoch 0 "
+                                           r"to 0\.97\d+ in epoch 1; step_size 1 is too large$"):
+        mlp.mlp_fit(X, y, epochs=2, **fit)
+    # the rule compares the first and the last epoch; one epoch is not checked
+    mlp.mlp_fit(X, y, epochs=1, **fit)
+    mlp.mlp_fit(X, y, epochs=3, **fit)
+
+
 def test_validation_errors():
     X = np.zeros((4, 2))
     y = np.zeros(4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bnbprice import textfeat
 
@@ -123,3 +125,102 @@ def test_description_score_is_projection():
         0.6 * v[0] + 0.8 * v[2], abs=1e-12)
     assert textfeat.description_score(
         textfeat.tfidf_vector("unknown words", vocab), direction) == 0.0
+
+
+def reference_vocab(descriptions, min_df, max_terms, stopwords):
+    """build_vocab as the per-document set count it was defined by."""
+    doc_tokens = [set(textfeat.tokenize(d)) for d in descriptions]
+    df = {}
+    for toks in doc_tokens:
+        for t in toks:
+            if t not in stopwords:
+                df[t] = df.get(t, 0) + 1
+    kept = sorted(t for t in df if df[t] >= min_df)
+    kept = sorted(sorted(kept, key=lambda t: (-df[t], t))[:max_terms])
+    n = len(doc_tokens)
+    return kept, [math.log((1.0 + n) / (1.0 + df[t])) + 1.0 for t in kept]
+
+
+# 60 plain words, so a vocabulary can be wider than BLAS's unrolled blocks, plus
+# non-ASCII ones; "Straße" and "ÉTÉ" lowercase on the way in
+WORDS = ["w%d" % i for i in range(60)] + ["café", "Straße", "naïve", "ÉTÉ", "日本", "ß"]
+SEPARATORS = [" ", ", ", "-", "_", "! ", "\n"]
+
+
+TEXTS = st.lists(st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS)),
+                          max_size=25).map(lambda pairs: "".join(w + s for w, s in pairs)),
+                 max_size=30)
+
+
+@st.composite
+def texts_and_vocab(draw):
+    texts = draw(TEXTS)
+    # any subset of the words, including none or one, plus terms no text holds
+    pool = sorted(set(t for w in WORDS for t in textfeat.tokenize(w)) | {"absent", "zz"})
+    terms = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    idf = draw(st.lists(st.floats(0.5, 20.0), min_size=len(terms), max_size=len(terms)))
+    weights = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(terms), max_size=len(terms)))
+    return texts, textfeat.Vocabulary(terms, idf, 7), np.array(weights)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=texts_and_vocab(), rows=st.integers(1, 31))
+@example(case=([], textfeat.Vocabulary([], [], 1), np.zeros(0)), rows=1)
+@example(case=(["", "café café", "x"], textfeat.Vocabulary([], [], 1), np.zeros(0)), rows=2)
+@example(case=(["café Café CAFÉ", "ß ss", ""], textfeat.Vocabulary(["café"], [1.5], 3),
+               np.array([-2.0])), rows=1)
+def test_tfidf_block_rows_and_scores_are_the_per_row_functions_bit_for_bit(case, rows):
+    texts, vocab, weights = case
+    direction = textfeat.DescriptionDirection(weights, 1.0)
+    tokens = textfeat.tokenize_all(texts)
+    assert len(tokens) == len(texts)
+    block, = tokens.tfidf_blocks(vocab)
+    assert block.shape == (len(texts), len(vocab.terms))
+    blocks = list(tokens.tfidf_blocks(vocab, rows))
+    # no text still makes one, empty, block
+    assert [len(b) for b in blocks] == [min(rows, len(texts) - i)
+                                        for i in range(0, max(len(texts), 1), rows)]
+    assert same_bits(np.concatenate([block[:0], *blocks]), block)
+    scores = textfeat.description_scores(tokens, vocab, direction)
+    assert scores.shape == (len(texts),)
+    for text, row, score in zip(texts, block, scores):
+        vector = textfeat.tfidf_vector(text, vocab)
+        assert same_bits(row, vector), text
+        assert score == textfeat.description_score(vector, direction), text
+
+
+def test_dense_tfidf_rows_and_scores_are_the_per_row_functions_bit_for_bit(monkeypatch):
+    # long texts over many terms with irregular idf and weights: a batched
+    # product (matmul, einsum) adds these rows in another order and differs
+    rng = np.random.RandomState(11)
+    texts = [" ".join(rng.choice(WORDS, size=rng.randint(0, 90))) for _ in range(300)]
+    terms = sorted({t for w in WORDS for t in textfeat.tokenize(w)})
+    vocab = textfeat.Vocabulary(terms, rng.uniform(0.5, 20.0, len(terms)), 300)
+    direction = textfeat.DescriptionDirection(rng.uniform(-1e3, 1e3, len(terms)), 1.0)
+    tokens = textfeat.tokenize_all(texts)
+    block, = tokens.tfidf_blocks(vocab)
+    vectors = np.array([textfeat.tfidf_vector(text, vocab) for text in texts])
+    assert same_bits(block, vectors)
+    expected = [textfeat.description_score(v, direction) for v in vectors]
+    # the scores come a block of rows at a time; 300 texts make 7 blocks of 45 and less
+    monkeypatch.setattr(textfeat, "SCORE_BLOCK_ROWS", 45)
+    assert textfeat.description_scores(tokens, vocab, direction).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=TEXTS, min_df=st.integers(1, 4), max_terms=st.integers(1, 70),
+       stopwords=st.sets(st.sampled_from(["w0", "w1", "café", "ß"])))
+def test_tokens_vocab_is_the_per_document_count(texts, min_df, max_terms, stopwords):
+    expected_terms, expected_idf = reference_vocab(texts, min_df, max_terms, stopwords)
+    if not any(textfeat.tokenize(t) for t in texts):
+        with pytest.raises(ValueError, match="no descriptions"):
+            textfeat.build_vocab(texts, min_df, max_terms, stopwords)
+        return
+    vocab = textfeat.build_vocab(texts, min_df, max_terms, stopwords)
+    assert vocab.terms == tuple(expected_terms)
+    assert vocab.idf.tolist() == expected_idf
+    assert vocab.doc_count == len(texts)

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from bnbprice import transform
+from bnbprice import textfeat, transform
 from bnbprice.config import PipelineConfig
 from bnbprice.textfeat import lexicon_from_entries
 from conftest import make_dataset, make_listing, make_review
 from reference_assembly import label_encode, one_hot, reference_matrix
+from test_textfeat import reference_vocab
 
 
 LEXICON = lexicon_from_entries({"great": 3, "dirty": -2, "good": 1})
@@ -288,6 +289,22 @@ def test_blocks_match_reference_bit_for_bit(metric):
     empty = assert_matches_reference(dataset, [], fitted)
     assert empty.values.shape == (0, len(fitted.columns))
     assert empty.target.shape == (0,)
+
+
+def test_fitted_text_state_is_the_per_row_definition():
+    dataset = branch_dataset()
+    cfg = small_config(k_clusters=3)
+    train = (0, 2, 3, 5, 7, 8, 10, 11, 12, 15)  # 12 has an empty description
+    descriptions = [dataset.listings[i].description for i in train]
+    terms, idf = reference_vocab(descriptions, cfg.min_df, cfg.max_terms, frozenset())
+    y = np.array([math.log(dataset.listings[i].price_usd) for i in train])
+    fitted = transform.fit_pipeline(dataset, train, cfg, LEXICON, frozenset())
+    assert (fitted.vocab.terms, fitted.vocab.idf.tolist()) == (tuple(terms), idf)
+    vectors = np.array([textfeat.tfidf_vector(d, fitted.vocab) for d in descriptions])
+    direction = textfeat.fit_description_direction(vectors, y)
+    assert fitted.direction.weights.tobytes() == direction.weights.tobytes()
+    assert fitted.direction.norm == direction.norm
+    assert_matches_reference(dataset, train, fitted)
 
 
 def test_zero_spread_scaler_matches_reference():
