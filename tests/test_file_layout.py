@@ -1,4 +1,5 @@
-"""The key layout of pipeline.json, of each kind's model file and of dataset.json.
+"""The key layout of pipeline.json, of each kind's model file, of report.json and of
+dataset.json.
 
 Each file is written from its dataclasses, and field order is file
 order, so a reordered or renamed field would change the bytes of every
@@ -14,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from bnbprice import ingest, serialize, transform
+from bnbprice import cli, ingest, serialize, transform
 from bnbprice.models import fit_model, model_to_doc
 from test_transform import fitted_small
 
@@ -76,6 +77,49 @@ MLP = [
     "/biases",
 ]
 
+REPORT = [
+    "/schema_version", "/dataset_summary", "/dataset_summary/n_listings",
+    "/dataset_summary/n_reviews", "/dataset_summary/cities", "/dataset_summary/n_features",
+    "/split", "/split/seed", "/split/sizes", "/split/sizes/train", "/split/sizes/val",
+    "/split/sizes/test", "/models", "/models/0/kind", "/models/0/params",
+    "/models/0/params/lambda", "/models/0/train", "/models/0/train/mse", "/models/0/train/mae",
+    "/models/0/train/r2", "/models/0/train/n", "/models/0/train/space", "/models/0/val",
+    "/models/0/val/mse", "/models/0/val/mae", "/models/0/val/r2", "/models/0/val/n",
+    "/models/0/val/space", "/models/0/test", "/models/0/test/mse", "/models/0/test/mae",
+    "/models/0/test/r2", "/models/0/test/n", "/models/0/test/space", "/models/1/kind",
+    "/models/1/params", "/models/1/params/n_estimators", "/models/1/params/learning_rate",
+    "/models/1/params/growth", "/models/1/params/max_depth", "/models/1/params/num_leaves",
+    "/models/1/params/min_samples_leaf", "/models/1/params/alpha", "/models/1/params/lambda",
+    "/models/1/params/min_gain", "/models/1/train", "/models/1/train/mse",
+    "/models/1/train/mae", "/models/1/train/r2", "/models/1/train/n", "/models/1/train/space",
+    "/models/1/val", "/models/1/val/mse", "/models/1/val/mae", "/models/1/val/r2",
+    "/models/1/val/n", "/models/1/val/space", "/models/1/test", "/models/1/test/mse",
+    "/models/1/test/mae", "/models/1/test/r2", "/models/1/test/n", "/models/1/test/space",
+    "/models/2/kind", "/models/2/params", "/models/2/params/hidden_sizes",
+    "/models/2/params/epochs", "/models/2/params/batch_size", "/models/2/params/step_size",
+    "/models/2/train", "/models/2/train/mse", "/models/2/train/mae", "/models/2/train/r2",
+    "/models/2/train/n", "/models/2/train/space", "/models/2/val", "/models/2/val/mse",
+    "/models/2/val/mae", "/models/2/val/r2", "/models/2/val/n", "/models/2/val/space",
+    "/models/2/test", "/models/2/test/mse", "/models/2/test/mae", "/models/2/test/r2",
+    "/models/2/test/n", "/models/2/test/space", "/grid", "/grid/0/model_index", "/grid/0/kind",
+    "/grid/0/best_params", "/grid/0/best_params/lambda", "/grid/0/cells",
+    "/grid/0/cells/0/params", "/grid/0/cells/0/params/lambda", "/grid/0/cells/0/val_mse",
+    "/grid/0/cells/0/status", "/grid/0/cells/1/params", "/grid/0/cells/1/params/lambda",
+    "/grid/0/cells/1/val_mse", "/grid/0/cells/1/status", "/config", "/config/cities",
+    "/config/cities/a", "/config/cities/a/listings", "/config/cities/a/reviews",
+    "/config/dataset", "/config/lexicon", "/config/stopwords", "/config/snapshot_date",
+    "/config/k_clusters", "/config/geo_metric", "/config/kmeans_max_iter",
+    "/config/kmeans_tol", "/config/top_n_neighbourhoods", "/config/min_df",
+    "/config/max_terms", "/config/scaler_map", "/config/scaler_map/accommodates",
+    "/config/scaler_map/availability_365", "/config/scaler_map/bedrooms",
+    "/config/scaler_map/reviews_per_month", "/config/scaler_map/host_experience_months",
+    "/config/room_type_levels", "/config/split_ratios", "/config/seed", "/config/models",
+    "/config/models/0/kind", "/config/models/1/kind", "/config/models/1/n_estimators",
+    "/config/models/2/kind", "/config/models/2/hidden_sizes", "/config/models/2/epochs",
+    "/config/grid", "/config/grid/model", "/config/grid/params", "/config/grid/params/lambda",
+    "/config/importance_top_n", "/config/cluster_svg", "/config/out",
+]
+
 
 def test_pipeline_keys_keep_their_order_at_every_depth():
     doc = on_disk(transform.pipeline_to_doc(fitted_small()[2]))
@@ -92,6 +136,29 @@ def test_model_keys_keep_their_order_at_every_depth(kind, params, golden):
     X = rng.randn(30, 3)
     y = X @ np.array([1.0, -0.5, 0.25]) + 0.1 * rng.randn(30)
     assert key_paths(on_disk(model_to_doc(fit_model(kind, params, X, y), "0" * 64))) == golden
+
+
+def train_report(tmp_path):
+    """report.json of a train run with a ridge, a GBDT and an MLP entry and a grid over
+    the ridge's lambda."""
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--n", "120", "--cities", "2", "--seed", "3",
+                     "--out", str(data)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "cities": {"a": {"listings": str(data / "listings.csv"),
+                         "reviews": str(data / "reviews.csv")}},
+        "out": str(tmp_path / "out"), "k_clusters": 2, "min_df": 1, "cluster_svg": False,
+        "models": [{"kind": "ridge"}, {"kind": "gbdt", "n_estimators": 2},
+                   {"kind": "mlp", "hidden_sizes": [2], "epochs": 1}],
+        "grid": {"model": 0, "params": {"lambda": [0.1, 1.0]}}}))
+    for command in ("ingest", "train"):
+        assert cli.main([command, "--config", str(config)]) == 0
+    return serialize.load_file(tmp_path / "out" / "report.json")
+
+
+def test_report_keys_keep_their_order_at_every_depth(tmp_path):
+    assert key_paths(train_report(tmp_path)) == REPORT
 
 
 def small_dataset():
