@@ -122,7 +122,7 @@ def _fit_entry(cfg, index, entry, mat_train, mat_val, grid_docs):
     else:
         model = fit_model(kind, params, mat_train.values, mat_train.target,
                           seed=cfg.seed)
-    return kind, serialize.dataclass_to_doc(params_from_entry(kind, params)), model
+    return kind, params_from_entry(kind, params), model
 
 
 def cmd_train(args):
@@ -140,37 +140,30 @@ def cmd_train(args):
     mat_val = transform.assemble_matrix(dataset, split.val, fitted)
     mat_test = transform.assemble_matrix(dataset, split.test, fitted)
 
-    grid_docs = []
-    model_results = []
+    grid_docs, entries, models = [], [], []
     for i, entry in enumerate(cfg.models):
-        kind, effective, model = _fit_entry(cfg, i, entry, mat_train, mat_val, grid_docs)
-        scores = [evalreport.metrics(mat.target, predict_model(model, mat.values))
-                  for mat in (mat_train, mat_val, mat_test)]
-        model_results.append(evalreport.ModelResult(
-            kind=kind, params=effective, model=model,
-            train=scores[0], val=scores[1], test=scores[2]))
-        log.info("model %d (%s): val mse %.5f, test mse %.5f, test r2 %.4f",
-                 i, kind, scores[1].mse, scores[2].mse, scores[2].r2)
+        kind, params, model = _fit_entry(cfg, i, entry, mat_train, mat_val, grid_docs)
+        train, val, test = [evalreport.metrics(mat.target, predict_model(model, mat.values))
+                            for mat in (mat_train, mat_val, mat_test)]
+        entries.append(evalreport.ModelEntry(kind, params, train, val, test))
+        models.append(model)
+        log.info("model %d (%s): val mse %.5f, test mse %.5f, test r2 %s", i, kind, val.mse,
+                 test.mse, test.r2 if isinstance(test.r2, str) else "%.4f" % test.r2)
 
-    summary = {
-        "n_listings": len(dataset.listings),
-        "n_reviews": sum(len(v) for v in dataset.reviews_by_listing.values()),
-        "cities": list(dict.fromkeys(rec.city for rec in dataset.listings)),
-        "n_features": len(fitted.columns),
-    }
-    results = evalreport.RunResults(
-        config_doc=serialize.dataclass_to_doc(cfg),
-        dataset_summary=summary,
-        split=split,
-        columns=fitted.columns,
-        models=tuple(model_results),
-        grid=tuple(grid_docs),
-        pipeline_doc=transform.pipeline_to_doc(fitted),
-    )
+    report = evalreport.Report(
+        dataset_summary={
+            "n_listings": len(dataset.listings),
+            "n_reviews": sum(len(v) for v in dataset.reviews_by_listing.values()),
+            "cities": list(dict.fromkeys(rec.city for rec in dataset.listings)),
+            "n_features": len(fitted.columns),
+        },
+        split=evalreport.SplitSummary(split.seed, split.sizes),
+        models=entries, grid=grid_docs, config=cfg)
 
     with _committing() as stage:
         staging = stage(cfg.out)
-        evalreport.emit_report(results, staging, cfg.importance_top_n)
+        evalreport.emit_report(report, models, fitted.columns, transform.pipeline_to_doc(fitted),
+                               staging, cfg.importance_top_n)
         if cfg.cluster_svg:
             points = np.array([[dataset.listings[i].latitude,
                                 dataset.listings[i].longitude]

@@ -1,7 +1,9 @@
 """Deterministic splits, metrics, importance ranking and report files.
 
 Everything here is a pure function of its inputs, so two runs with the
-same config write byte-identical artifacts.
+same config write byte-identical artifacts. report.json is Report and the
+dataclasses it holds, field order being file order, after its
+schema_version.
 """
 
 import csv
@@ -27,7 +29,6 @@ class SplitAssignment:
     val: tuple
     test: tuple
     seed: int
-    ratios: tuple
 
     @property
     def sizes(self):
@@ -63,21 +64,16 @@ def split_dataset(n, ratios, seed):
         train=tuple(sorted(idx[:n_train])),
         val=tuple(sorted(idx[n_train:n_train + n_val])),
         test=tuple(sorted(idx[n_train + n_val:])),
-        seed=int(seed), ratios=ratios)
+        seed=int(seed))
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     mse: float
     mae: float
-    r2: float
+    r2: float | str  # "undefined" for a constant target that was not predicted exactly
     n: int
     space: str = "log_price"
-
-    def to_doc(self):
-        r2 = "undefined" if self.r2 == float("-inf") else self.r2
-        return {"mse": self.mse, "mae": self.mae, "r2": r2,
-                "n": self.n, "space": self.space}
 
 
 def metrics(y_true, y_pred):
@@ -93,7 +89,7 @@ def metrics(y_true, y_pred):
     sse = float(np.sum(resid * resid))
     sst = float(np.sum((y - np.mean(y)) ** 2))
     if sst == 0.0:
-        r2 = 0.0 if sse == 0.0 else float("-inf")
+        r2 = 0.0 if sse == 0.0 else "undefined"
     else:
         r2 = 1.0 - sse / sst
     if not mae * mae <= mse * (1.0 + 1e-12) + 1e-12:
@@ -130,24 +126,27 @@ def feature_importance(model, columns):
 
 
 @dataclass(frozen=True)
-class ModelResult:
+class SplitSummary:
+    seed: int
+    sizes: dict[str, int]  # SplitAssignment.sizes
+
+
+@dataclass(frozen=True)
+class ModelEntry:
     kind: str
-    params: dict
-    model: object
+    params: object  # the kind's params dataclass, as the model was fitted
     train: MetricsReport
     val: MetricsReport
     test: MetricsReport
 
 
 @dataclass(frozen=True)
-class RunResults:
-    config_doc: dict
+class Report:
     dataset_summary: dict
-    split: SplitAssignment
-    columns: tuple
-    models: tuple
-    grid: tuple
-    pipeline_doc: dict
+    split: SplitSummary
+    models: list[ModelEntry]
+    grid: list[dict]  # grid_search's best params and cells per searched entry
+    config: object    # the effective config.PipelineConfig
 
 
 def importance_svg(entries):
@@ -172,40 +171,30 @@ def importance_svg(entries):
     return "\n".join(parts) + "\n"
 
 
-def emit_report(run_results, out_dir, top_n=60):
+def emit_report(report, models, columns, pipeline_doc, out_dir, top_n):
     """Write report.json, importance files, pipeline and model files into out_dir.
 
-    Each model file records the sha256 of the pipeline.json bytes. The
-    importance chart ranks the model with the lowest validation MSE.
+    models are the fitted models of report.models, in order, and columns
+    their feature names. Each model file records the sha256 of the
+    pipeline.json bytes. The importance files rank the model with the
+    lowest validation MSE; the chart shows its top_n features.
     """
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "dataset_summary": run_results.dataset_summary,
-        "split": {"seed": run_results.split.seed,
-                  "sizes": run_results.split.sizes},
-        "models": [{"kind": m.kind, "params": m.params,
-                    "train": m.train.to_doc(), "val": m.val.to_doc(),
-                    "test": m.test.to_doc()}
-                   for m in run_results.models],
-        "grid": list(run_results.grid),
-        "config": run_results.config_doc,
-    }
-    serialize.dump_file(report, out_dir / "report.json")
+    serialize.dump_file({"schema_version": REPORT_SCHEMA_VERSION,
+                         **serialize.dataclass_to_doc(report)}, out_dir / "report.json")
 
     # the first of equal lowest validation MSEs
-    best = min(run_results.models, key=lambda m: m.val.mse)
-    entries = feature_importance(best.model, run_results.columns)
+    best = min(range(len(models)), key=lambda i: report.models[i].val.mse)
+    entries = feature_importance(models[best], columns)
     with open(out_dir / "importance.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "feature", "score"])
         for e in entries:
             writer.writerow([e.rank, e.feature, serialize.format_float(e.score)])
 
-    shown = entries[:top_n] if top_n is not None else entries
     with open(out_dir / "importance.svg", "w", encoding="utf-8") as fh:
-        fh.write(importance_svg(shown))
+        fh.write(importance_svg(entries[:top_n]))
     pipeline_sha256 = serialize.sha256_hex(
-        serialize.dump_file(run_results.pipeline_doc, out_dir / "pipeline.json"))
-    for i, m in enumerate(run_results.models):
-        serialize.dump_file(model_to_doc(m.model, pipeline_sha256),
-                            out_dir / ("model_%d_%s.json" % (i, m.kind)))
+        serialize.dump_file(pipeline_doc, out_dir / "pipeline.json"))
+    for i, model in enumerate(models):
+        serialize.dump_file(model_to_doc(model, pipeline_sha256),
+                            out_dir / ("model_%d_%s.json" % (i, kind_of(model))))

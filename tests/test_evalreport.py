@@ -63,9 +63,9 @@ def test_metrics_constant_target_rules():
     clean = evalreport.metrics([4.0, 4.0], [4.0, 4.0])
     assert clean.r2 == 0.0
     off = evalreport.metrics([4.0, 4.0], [5.0, 5.0])
-    assert off.r2 == float("-inf")
-    assert off.to_doc()["r2"] == "undefined"
-    assert clean.to_doc()["r2"] == 0.0
+    assert off.r2 == "undefined"
+    assert serialize.dataclass_to_doc(off)["r2"] == "undefined"
+    assert serialize.dataclass_to_doc(clean)["r2"] == 0.0
 
 
 def test_metrics_errors():
@@ -118,7 +118,9 @@ def test_importance_width_mismatch():
         evalreport.feature_importance(model, ["only"])
 
 
-def run_results_fixture():
+def report_fixture():
+    """emit_report's arguments before out_dir: the report, the fitted models, the
+    columns and the pipeline document."""
     rng = np.random.RandomState(0)
     X = rng.randn(30, 2)
     y = X[:, 0] * 2.0 + rng.randn(30) * 0.1
@@ -126,25 +128,26 @@ def run_results_fixture():
     from bnbprice.models import ridge
     model = ridge.ridge_fit(X[list(split.train)], y[list(split.train)], 1.0)
     rep = evalreport.metrics(y, ridge.ridge_predict(model, X))
-    result = evalreport.ModelResult(kind="ridge", params={"lambda": 1.0},
-                                    model=model, train=rep, val=rep, test=rep)
-    return evalreport.RunResults(
-        config_doc={"seed": 0}, dataset_summary={"n_listings": 30},
-        split=split, columns=("c0", "c1"), models=(result,), grid=(),
-        pipeline_doc={"schema_version": 1})
+    entry = evalreport.ModelEntry(kind="ridge", params=RidgeParams(1.0),
+                                  train=rep, val=rep, test=rep)
+    report = evalreport.Report(
+        dataset_summary={"n_listings": 30},
+        split=evalreport.SplitSummary(split.seed, split.sizes),
+        models=[entry], grid=[], config={"seed": 0})
+    return report, [model], ("c0", "c1"), {"schema_version": 1}
 
 
 def test_emit_report_files_and_determinism(tmp_path):
-    results = run_results_fixture()
+    results = report_fixture()
     first = tmp_path / "a"
     second = tmp_path / "b"
     first.mkdir()
     second.mkdir()
-    evalreport.emit_report(results, first)
+    evalreport.emit_report(*results, first, top_n=60)
     names = sorted(p.name for p in first.iterdir())
     assert names == ["importance.csv", "importance.svg", "model_0_ridge.json",
                      "pipeline.json", "report.json"]
-    evalreport.emit_report(results, second)
+    evalreport.emit_report(*results, second, top_n=60)
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
     doc = serialize.load_file(first / "report.json")
@@ -152,14 +155,15 @@ def test_emit_report_files_and_determinism(tmp_path):
                          "models", "grid", "config"]
     assert doc["split"]["sizes"] == {"train": 24, "val": 3, "test": 3}
     assert doc["models"][0]["kind"] == "ridge"
+    assert doc["models"][0]["params"] == {"lambda": 1.0}
     assert doc["grid"] == []
     header = (first / "importance.csv").read_text().splitlines()[0]
     assert header == "rank,feature,score"
 
 
 def test_emit_report_top_n_clamps(tmp_path):
-    results = run_results_fixture()
-    evalreport.emit_report(results, tmp_path, top_n=50)
+    results = report_fixture()
+    evalreport.emit_report(*results, tmp_path, top_n=50)
     svg = (tmp_path / "importance.svg").read_text()
     assert svg.count("<rect") == 3  # background plus one bar per feature
     assert 'height="40"' in svg
