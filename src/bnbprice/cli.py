@@ -73,12 +73,12 @@ def _load_doc(path, from_doc, what):
 
 
 def _read_csv(path, parse, *extra, **options):
-    """parse(open file, ...); an unreadable, undecodable or malformed file is a CliError
-    naming it."""
+    """parse(open file, ...), a leading UTF-8 byte order mark dropped; an unreadable,
+    undecodable or malformed file is a CliError naming it."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return parse(fh, *extra, **options)
-    except (OSError, csv.Error, UnicodeDecodeError, ingest.IngestError) as exc:
+    except (OSError, UnicodeDecodeError, ingest.IngestError) as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
 
 
@@ -239,6 +239,14 @@ def cmd_synth(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error is a CliError naming the command, so main
+    logs it as one line and returns 2. Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise CliError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
@@ -248,7 +256,7 @@ def build_parser():
                              "thread and the value changes nothing")
     common.add_argument("--seed", type=int, help="global seed (overrides config)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bnbprice",
         description="Listing price modelling pipeline: ingest CSV snapshots, "
                     "engineer text/geo features, train and evaluate regressors.")
@@ -282,12 +290,11 @@ def build_parser():
 
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    # ValueError also covers numpy's LinAlgError
-    except (CliError, ingest.IngestError, transform.AssemblyError,
-            RuntimeError, OSError, ValueError) as exc:
+    # ValueError covers CliError, IngestError, AssemblyError and numpy's LinAlgError
+    except (RuntimeError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 2
 

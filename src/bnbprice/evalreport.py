@@ -87,11 +87,11 @@ def metrics(y_true, y_pred):
     mse = float(np.mean(resid * resid))
     mae = float(np.mean(np.abs(resid)))
     sse = float(np.sum(resid * resid))
-    sst = float(np.sum((y - np.mean(y)) ** 2))
-    if sst == 0.0:
+    # constant by exact equality: the sum of squares about a rounded mean can miss 0
+    if y.min() == y.max():
         r2 = 0.0 if sse == 0.0 else "undefined"
     else:
-        r2 = 1.0 - sse / sst
+        r2 = 1.0 - sse / float(np.sum((y - np.mean(y)) ** 2))
     if not mae * mae <= mse * (1.0 + 1e-12) + 1e-12:
         raise InvariantError("MAE^2 %r exceeds MSE %r" % (mae * mae, mse))
     return MetricsReport(mse=mse, mae=mae, r2=r2, n=int(y.size))

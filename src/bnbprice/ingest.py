@@ -205,6 +205,16 @@ def _reader(field, at, given):
     return lambda row: convert(row[i], row[j])
 
 
+def _csv_rows(csv_stream, what):
+    """csv.reader's rows of csv_stream; a line the csv module refuses (a field over its
+    limit, say) is an IngestError naming what and the line."""
+    rows = csv.reader(csv_stream)
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise IngestError("%s line %d: %s" % (what, rows.line_num, exc)) from None
+
+
 def _read_table(csv_stream, what, record, table, key, **given):
     """Records built from the CSV's rows through table, plus a Drop per refused row, which
     carries the value of the field named key if that field was read before the refusal.
@@ -212,7 +222,7 @@ def _read_table(csv_stream, what, record, table, key, **given):
     A repeated header name keeps its last column. Blank lines are skipped and not numbered,
     a short row's missing cells read as empty, and a long row's extra cells are never read.
     """
-    rows = csv.reader(csv_stream)
+    rows = _csv_rows(csv_stream, what)
     header = next(rows, None)
     if header is None:
         raise IngestError("empty %s file" % what)

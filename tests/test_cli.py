@@ -1077,3 +1077,60 @@ def test_a_neighbourhood_named_other_trains(tmp_path):
     assert main(["train", "--config", config]) == 0
     categories = load_file(tmp_path / "out" / "pipeline.json")["neighbourhoods"]["categories"]
     assert categories.count("other") == 1 and categories[-1] == "other"
+
+
+def test_a_constant_target_writes_r2_undefined(tmp_path, caplog):
+    # 200 equal prices, whose sum of squares about their float mean is not exactly 0
+    caplog.set_level(logging.INFO, logger="bnbprice")
+    data = tmp_path / "data"
+    assert main(["synth", "--n", "200", "--seed", "3", "--out", str(data)]) == 0
+    write_listings(data / "flat.csv", data / "listings.csv",
+                   lambda i, row: {**row, "price": "$100.00"})
+    cfg = write_config(tmp_path / "c.json",
+                       cities={"s": {"listings": str(data / "flat.csv"),
+                                     "reviews": str(data / "reviews.csv")}},
+                       out=str(tmp_path / "o"), seed=1, k_clusters=5, min_df=2,
+                       models=[{"kind": "mlp", "hidden_sizes": [4], "epochs": 2},
+                               {"kind": "ridge"}])
+    assert main(["ingest", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg]) == 0
+    mlp = load_file(tmp_path / "o" / "report.json")["models"][0]
+    assert [mlp[part]["r2"] for part in ("train", "val", "test")] == ["undefined"] * 3
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("model 0")]
+    assert len(lines) == 1 and lines[0].endswith(", test r2 undefined"), lines
+
+
+def with_bom(path, source):
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return str(path)
+
+
+def test_a_byte_order_mark_changes_no_output(trained, tmp_path):
+    tmp, out, config = trained
+    listings = with_bom(tmp_path / "listings.csv", tmp / "data" / "listings.csv")
+    reviews = with_bom(tmp_path / "reviews.csv", tmp / "data" / "reviews.csv")
+    cfg = write_config(tmp_path / "c.json",
+                       cities={"synthville": {"listings": listings, "reviews": reviews}},
+                       out=str(tmp_path / "o"))
+    assert main(["ingest", "--config", cfg]) == 0
+    assert (tmp_path / "o" / "dataset.json").read_bytes() == (out / "dataset.json").read_bytes()
+    written = []
+    for name, files in (("plain", [tmp / "data" / "listings.csv", tmp / "data" / "reviews.csv"]),
+                        ("bom", [listings, reviews])):
+        assert main(["predict", "--out", str(tmp_path / name), "--pipeline",
+                     str(out / "pipeline.json"), "--model", str(out / "model_0_ridge.json"),
+                     "--listings", str(files[0]), "--reviews", str(files[1])]) == 0
+        written.append((tmp_path / name / "predictions.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["train", "--seed", "abc"], "bnbprice train: argument --seed: invalid int value: 'abc'"),
+    (["predict", "--model", "m.json"],
+     "bnbprice predict: the following arguments are required: --listings"),
+    (["ingest", "--bogus"], "bnbprice: unrecognized arguments: --bogus"),
+])
+def test_a_bad_flag_exits_2_with_one_error_line(caplog, capfd, argv, expected):
+    assert main(argv) == 2
+    assert error_lines(caplog) == [expected]
+    assert "usage:" not in capfd.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,13 @@ def test_metrics_constant_target_rules():
     assert off.r2 == "undefined"
     assert serialize.dataclass_to_doc(off)["r2"] == "undefined"
     assert serialize.dataclass_to_doc(clean)["r2"] == 0.0
+
+
+def test_metrics_constant_target_of_twenty_rows():
+    # np.mean of 20 equal log prices is one ulp off, so their sum of squares is not 0
+    y = np.full(20, math.log(100.0))
+    assert evalreport.metrics(y, y + 1e-3).r2 == "undefined"
+    assert evalreport.metrics(y, y).r2 == 0.0
 
 
 def test_metrics_errors():

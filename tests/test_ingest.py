@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -165,3 +166,39 @@ def test_dataset_doc_round_trip():
 def test_dataset_doc_version_guard():
     with pytest.raises(ingest.IngestError):
         ingest.dataset_from_doc({"schema_version": 99, "listings": [], "reviews": {}})
+
+
+ROW = '{id},a,"two\nlines",Mission,34.0,-118.0,Private room,2,1,$100,10,0.5,t,2015-01-01'
+
+
+@pytest.mark.parametrize("parse_table,what,header", [
+    (lambda stream: ingest.parse_listings(stream, "cityx"), "listings", LISTING_HEADER),
+    (ingest.parse_reviews, "reviews", "listing_id,id,date,comments"),
+])
+def test_a_field_over_the_csv_limit_names_its_line(parse_table, what, header):
+    # the header on line 1, then a row on lines 2-3; the long cell is on line 4
+    rows = [ROW.format(id=1) if what == "listings" else '1,5,2021-01-01,"two\nlines"',
+            "1,%s,2021-01-01" % ("x" * 140000)]
+    text = header + "\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ingest.IngestError) as exc:
+        parse_table(io.StringIO(text))
+    assert str(exc.value) == "%s line 4: field larger than field limit (131072)" % what
+
+
+def csv_refuses_nul():
+    try:
+        list(csv.reader(["a\0b"]))
+    except csv.Error:
+        return True
+    return False
+
+
+def test_a_nul_byte_in_a_cell_is_read_or_refused_naming_its_line():
+    text = LISTING_HEADER + "\n" + ROW.format(id=1) + "\n" + ROW.format(id=2).replace(
+        "Mission", "Mis\0sion") + "\n"
+    if csv_refuses_nul():  # as the csv module of Python 3.10 does; the NUL is on line 5
+        with pytest.raises(ingest.IngestError, match=r"^listings line 5: line contains NUL$"):
+            ingest.parse_listings(io.StringIO(text), "cityx")
+    else:
+        records, drops = ingest.parse_listings(io.StringIO(text), "cityx")
+        assert [r.neighbourhood for r in records] == ["Mission", "Mis\0sion"] and drops == []
